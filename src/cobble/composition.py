@@ -8,6 +8,7 @@ A checkpoint freezes a sealed store's consolidated state at its window top.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .effects import Effect
 from .memory import MapStore
@@ -180,6 +181,12 @@ class Checkpoint(Store):
 
     Immutable: never receives transactional writes. Reads below hi cannot be
     answered (the per-version history was folded away) and raise.
+
+    The key bounds (key_range) are computed lazily, once, on first use: the
+    entries never change, so the bounds are fixed metadata and covers_key is
+    O(1). They are not computed when a checkpoint is built or loaded, because
+    only levels >= 1 prune by them; an eager pass would add an O(n) scan to
+    every L0 checkpoint on the commit path and to every reopen.
     """
 
     def __init__(self, entries: dict[str, Effect], window: Window,
@@ -190,19 +197,16 @@ class Checkpoint(Store):
         self.window = window
         self.path = path
 
-    @property
+    @cached_property
     def key_range(self) -> tuple[str, str] | None:
         if not self.entries:
             return None
-        keys = sorted(self.entries, key=lambda k: k.encode("utf-8"))
-        return keys[0], keys[-1]
+        # str order is code-point order, which UTF-8 byte order preserves
+        return min(self.entries), max(self.entries)
 
     def covers_key(self, key: str) -> bool:
         kr = self.key_range
-        if kr is None:
-            return False
-        kb = key.encode("utf-8")
-        return kr[0].encode("utf-8") <= kb <= kr[1].encode("utf-8")
+        return kr is not None and kr[0] <= key <= kr[1]
 
     def lookup(self, key: str, read_st: int,
                txn: TransactionDescriptor | None = None) -> Effect | None:

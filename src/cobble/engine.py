@@ -142,8 +142,11 @@ class LevelledStore(Store):
         self.directory = directory
         self.config = config
         self._manifest = manifest
-        self._live: tuple[WALMemtablePair, ...] = tuple(live)
-        self._levels: tuple[tuple[Checkpoint, ...], ...] = tuple(tuple(l) for l in levels)
+        # (live pairs, checkpoint levels), replaced by one assignment so that a
+        # lookup reading it once never sees a pair both live and checkpointed
+        self._layout: tuple[tuple[WALMemtablePair, ...],
+                            tuple[tuple[Checkpoint, ...], ...]] = (
+            tuple(live), tuple(tuple(l) for l in levels))
         self._mutex = threading.RLock()
         self._rotation_cond = threading.Condition(self._mutex)
         self._rotation_pending = False
@@ -192,7 +195,8 @@ class LevelledStore(Store):
         entries = list(extra_entries)
         entries.append(ManifestEntry(ManifestAction.ADD, LIVE_LEVEL, rel, Window(lo, None)))
         self._manifest_commit_locked(entries)
-        self._live = self._live + (wmp,)
+        live, levels = self._layout
+        self._layout = (live + (wmp,), levels)
 
     def _manifest_commit_locked(self, entries: list[ManifestEntry],
                                 ts: int | None = None) -> None:
@@ -210,7 +214,7 @@ class LevelledStore(Store):
         with self._rotation_cond:
             while self._rotation_pending:
                 self._rotation_cond.wait()
-            wmp = self._live[-1]
+            wmp = self._layout[0][-1]
             # group-aligned windows: every version in a window must carry a
             # snapshot that covers all prior windows, else the per-window fold
             # would lose effects concurrent across the boundary
@@ -259,7 +263,7 @@ class LevelledStore(Store):
         with self._rotation_cond:
             wmp = self._pins.pop(txn_id, None)
             self._active_sts.pop(txn_id, None)
-            if (self._rotation_pending and wmp is self._live[-1]
+            if (self._rotation_pending and wmp is self._layout[0][-1]
                     and not self._pin_count_locked(wmp)):
                 self._rotate_locked()
 
@@ -284,8 +288,7 @@ class LevelledStore(Store):
         if read_st < self._horizon:
             self.stats["old_read_rejections"] += 1
             raise WindowError(f"read_st {read_st} below compaction horizon {self._horizon}")
-        live = self._live
-        levels = self._levels
+        live, levels = self._layout
         probes = self.probes
         found: list[Effect] = []
         assigned = False
@@ -333,7 +336,7 @@ class LevelledStore(Store):
 
     def _maybe_compact(self) -> None:
         with self._mutex:
-            tail = self._live[-1]
+            tail = self._layout[0][-1]
             if (tail.committed_effects >= self.config.wmp_rotate_effects
                     and not self._rotation_pending and not tail.sealed):
                 if self._pin_count_locked(tail) == 0:
@@ -348,7 +351,7 @@ class LevelledStore(Store):
         (seal the accepting pair if it can be sealed, push everything down)."""
         with self._mutex:
             if force and not self._rotation_pending:
-                tail = self._live[-1]
+                tail = self._layout[0][-1]
                 if (not tail.sealed and tail.committed_effects > 0
                         and self._pin_count_locked(tail) == 0):
                     self._rotate_locked()
@@ -356,7 +359,7 @@ class LevelledStore(Store):
             self._compact_levels_locked(force)
 
     def _rotate_locked(self) -> None:
-        tail = self._live[-1]
+        tail = self._layout[0][-1]
         if tail.sealed or tail.committed_effects == 0:
             self._rotation_pending = False
             self._rotation_cond.notify_all()
@@ -374,8 +377,8 @@ class LevelledStore(Store):
 
     def _compact_live_locked(self, force: bool) -> None:
         keep = 1 if force else self.config.live_capacity
-        while len(self._live) > keep:
-            oldest = self._live[0]
+        while len(self._layout[0]) > keep:
+            oldest = self._layout[0][0]
             if not oldest.sealed:
                 break
             if not self._gate_locked(oldest.window.hi):
@@ -396,11 +399,12 @@ class LevelledStore(Store):
         entries_list.append(ManifestEntry(
             ManifestAction.REMOVE, LIVE_LEVEL, wmp._wal_rel, window))
         self._manifest_commit_locked(entries_list)
-        self._live = self._live[1:]
+        live, levels = self._layout
         if ck.entries:
-            self._levels = ((self._levels[0] + (ck,)),) + self._levels[1:]
-            if window.hi > self._horizon:
-                self._horizon = window.hi
+            levels = (levels[0] + (ck,),) + levels[1:]
+        self._layout = (live[1:], levels)
+        if ck.entries and window.hi > self._horizon:
+            self._horizon = window.hi
         self.stats["live_checkpoints"] += 1
         wmp.wal.close()
         try:
@@ -411,7 +415,7 @@ class LevelledStore(Store):
     def _compact_levels_locked(self, force: bool) -> None:
         collapses_before = effects.counters["multi_collapse"]
         for level in range(self.config.max_levels - 1):
-            row = list(self._levels[level])
+            row = list(self._layout[1][level])
             cap = 0 if force else self.config.capacity(level)
             excess = len(row) - cap
             if excess <= 0:
@@ -431,7 +435,8 @@ class LevelledStore(Store):
         rebuilt as new objects/files; the old layout stays intact until the
         manifest transaction commits.
         """
-        next_row: list[Checkpoint] = list(self._levels[level + 1])
+        levels = self._layout[1]
+        next_row: list[Checkpoint] = list(levels[level + 1])
         replaced: dict[int, Checkpoint] = {}  # index in next_row -> original
         for src in sources:
             residual: dict[str, Effect] = {}
@@ -483,14 +488,14 @@ class LevelledStore(Store):
             old_paths.append(src.path)
         self._manifest_commit_locked(adds + removes)
 
-        rows = list(self._levels)
-        rows[level] = tuple(self._levels[level][len(sources):])
+        rows = list(levels)
+        rows[level] = tuple(levels[level][len(sources):])
         # keep row order equal to what manifest replay reconstructs:
         # untouched survivors in place, rebuilt/new checkpoints at the end
         fresh_ids = {id(ck) for ck in fresh}
         rows[level + 1] = tuple(
             [ck for ck in next_row if id(ck) not in fresh_ids] + fresh)
-        self._levels = tuple(rows)
+        self._layout = (self._layout[0], tuple(rows))
         for ck in next_row:
             if ck.window.hi > self._horizon:
                 self._horizon = ck.window.hi
@@ -504,11 +509,12 @@ class LevelledStore(Store):
 
     def layout(self) -> dict:
         with self._mutex:
+            live, levels = self._layout
             return {
-                "live": [(w._wal_rel, (w.window.lo, w.window.hi)) for w in self._live],
+                "live": [(w._wal_rel, (w.window.lo, w.window.hi)) for w in live],
                 "levels": [
                     [(c.path, (c.window.lo, c.window.hi), c.key_range) for c in row]
-                    for row in self._levels
+                    for row in levels
                 ],
                 "horizon": self._horizon,
                 "last_ct": self._last_ct,
@@ -516,7 +522,7 @@ class LevelledStore(Store):
 
     def close(self) -> None:
         with self._mutex:
-            for wmp in self._live:
+            for wmp in self._layout[0]:
                 wmp.wal.close()
             self._manifest.close()
 

@@ -227,32 +227,31 @@ class MapStore(TxnLifecycleMixin, Store):
     def lookup(self, key: str, read_st: int,
                txn: TransactionDescriptor | None = None) -> Effect | None:
         check_key(key)
+        # Scan newest to oldest from the bisect point, cutting once a completed
+        # group carries an assignment: anything older is absorbed by it. The
+        # scan holds the lock because a concurrent insort below the bisect
+        # point would shift the indices it walks.
+        groups_newest_first: list[list[Version]] = []
         with self._lock:
             versions = self._per_key.get(key)
-            prefix = None
-            if versions:
-                hi = bisect.bisect_left(versions, read_st, key=lambda v: v[0])
-                prefix = versions[:hi]
-        if not prefix:
-            return None
-        # Scan newest to oldest, cutting once a completed group carries an
-        # assignment: anything older is absorbed by it.
-        groups_newest_first: list[list[Version]] = []
-        group = [prefix[-1]]
-        cut = False
-        for j in range(len(prefix) - 2, -1, -1):
-            newer_st = prefix[j + 1][1]
-            older_ct = prefix[j][0]
-            if newer_st >= older_ct:  # group boundary
-                groups_newest_first.append(group)
-                if any(v[3].base is not None for v in group):
-                    cut = True
-                    break
-                group = [prefix[j]]
+            if not versions:
+                return None
+            hi = bisect.bisect_left(versions, read_st, key=lambda v: v[0])
+            if hi == 0:
+                return None
+            group = [versions[hi - 1]]
+            for j in range(hi - 2, -1, -1):
+                newer_st = versions[j + 1][1]
+                older_ct = versions[j][0]
+                if newer_st >= older_ct:  # group boundary
+                    groups_newest_first.append(group)
+                    if any(v[3].base is not None for v in group):
+                        break
+                    group = [versions[j]]
+                else:
+                    group.append(versions[j])
             else:
-                group.append(prefix[j])
-        if not cut:
-            groups_newest_first.append(group)
+                groups_newest_first.append(group)
         acc: Effect | None = None
         for g in reversed(groups_newest_first):
             eff = collapse([StampedEffect(ct, tid, e) for ct, st, tid, e in g])

@@ -1,6 +1,8 @@
 """Windowed composition: write-all/read-one, the WAL+memtable pair, and
 checkpoint consolidation."""
 
+import random
+
 import pytest
 
 from cobble.composition import (
@@ -248,6 +250,48 @@ class TestCheckpoint:
         assert ck.key_range == ("b", "f")
         assert ck.covers_key("b") and ck.covers_key("d") and ck.covers_key("f")
         assert not ck.covers_key("a") and not ck.covers_key("g")
+
+    def test_covers_key_matches_utf8_byte_order(self):
+        rng = random.Random(7)
+        # boundaries of the 1- to 4-byte UTF-8 forms, then random BMP and
+        # astral code points (surrogates cannot be encoded, NUL is rejected)
+        edges = [0x01, 0x7F, 0x80, 0x7FF, 0x800, 0xD7FF, 0xE000, 0xFFFF,
+                 0x10000, 0x10FFFF]
+
+        def code_point():
+            if rng.random() < 0.3:
+                return rng.choice(edges)
+            if rng.random() < 0.5:
+                cp = rng.randint(0x80, 0xFFFF)
+            else:
+                cp = rng.randint(0x10000, 0x10FFFF)
+            return 0xE000 if 0xD800 <= cp <= 0xDFFF else cp
+
+        def key():
+            return "".join(chr(code_point()) for _ in range(rng.randint(1, 3)))
+
+        for _ in range(200):
+            keys = {key() for _ in range(rng.randint(1, 8))}
+            ck = Checkpoint({k: Effect.incr(1) for k in keys}, Window(0, 1))
+            encoded = sorted(k.encode("utf-8") for k in keys)
+            lo, hi = encoded[0], encoded[-1]
+            assert ck.key_range == (lo.decode("utf-8"), hi.decode("utf-8"))
+            for probe in [key() for _ in range(50)] + list(keys):
+                assert ck.covers_key(probe) == (lo <= probe.encode("utf-8") <= hi), probe
+
+    def test_key_bounds_computed_once(self):
+        class CountingDict(dict):
+            iterations = 0
+
+            def __iter__(self):
+                self.iterations += 1
+                return super().__iter__()
+
+        entries = CountingDict({f"k{i:04d}": Effect.incr(1) for i in range(1000)})
+        ck = Checkpoint(entries, Window(0, 2))
+        covered = sum(ck.covers_key(f"k{i:04d}x") for i in range(1000))
+        assert covered == 999  # "k0999x" sorts above the top key "k0999"
+        assert entries.iterations <= 2
 
     def test_persist_load_round_trip(self, tmp_path):
         src = MapStore()

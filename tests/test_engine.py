@@ -2,6 +2,7 @@
 
 import os
 import shutil
+import sys
 import threading
 
 import pytest
@@ -133,6 +134,43 @@ class TestLookupPath:
         engine.reset_probes()
         assert effect_at(engine, "k", 2) == (2, 1)
         assert engine.probes[-1] >= 1 and engine.probes[1] == 1
+        engine.close()
+
+    def test_lookup_straddling_a_checkpoint_counts_the_pair_once(self, tmp_path):
+        # the rotated pair stays live (live_capacity 4) until compact runs
+        engine = LevelledStore.create(
+            str(tmp_path / "db"), small_config(live_capacity=4, wmp_rotate_effects=3))
+        manager = TransactionManager(engine, isolation="tcc")
+        for _ in range(3):
+            coord = manager.begin_txn()
+            coord.incr("k", 1)
+            assert coord.commit().committed
+        assert len(engine.layout()["live"]) == 2  # sealed pair + accepting pair
+        read_st = manager.last_commit_ts + 1
+        lookup_code = LevelledStore.lookup.__code__
+        fired = []
+
+        def in_lookup(frame, event, arg):
+            # checkpoint the sealed pair as soon as the lookup holds the live
+            # pairs, before it walks them
+            if event == "line" and not fired and "live" in frame.f_locals:
+                fired.append(frame.f_lineno)
+                engine.compact(force=True)
+            return in_lookup
+
+        def on_call(frame, event, arg):
+            return in_lookup if frame.f_code is lookup_code else None
+
+        previous = sys.gettrace()
+        sys.settrace(on_call)
+        try:
+            value = manager.read_at("k", read_st)
+        finally:
+            sys.settrace(previous)
+        assert fired
+        assert len(engine.layout()["live"]) == 1  # the pair was checkpointed
+        assert value == 3
+        assert manager.read_at("k", read_st) == 3
         engine.close()
 
     def test_read_below_horizon_rejected(self, tmp_path):

@@ -248,6 +248,26 @@ class TestPinnedHistories:
             assert got == (None, None) or got == ((1, 0), (2, 0))
 
 
+class TestMapLongHistory:
+    def test_reads_around_an_assignment_after_ten_thousand_increments(self):
+        n = 10_000
+        store, journal = MapStore(), JournalStore()
+        for s in (store, journal):
+            for i in range(n):
+                commit(s, f"i{i}", st=i, ct=i + 1, updates=[("k", Effect.incr(1))])
+            commit(s, "A", st=n, ct=n + 1, updates=[("k", Effect.assign(7))])
+            for i in range(3):
+                commit(s, f"j{i}", st=n + 1 + i, ct=n + 2 + i,
+                       updates=[("k", Effect.incr(2))])
+        want = {1: None, 2: (None, 1), n: (None, n - 1),
+                n + 1: (None, n),       # before the assignment
+                n + 2: (7, 0),          # at it
+                n + 3: (7, 2), n + 5: (7, 6), n + 50: (7, 6)}  # after it
+        for rs, expected in want.items():
+            assert eff_tuple(store, "k", rs) == expected, rs
+            assert eff_tuple(journal, "k", rs) == expected, rs
+
+
 class TestOracleAgreement:
     @pytest.mark.parametrize("seed", range(6))
     def test_fifty_txn_traces_match_the_valuation(self, seed):

@@ -1,9 +1,14 @@
-"""Binary codecs: journal record frames and map/checkpoint files.
+"""Binary codecs: journal record frames, commit frames and map/checkpoint files.
 
 Frame layout: magic "CBLE" | u32le payload length | payload | u32le CRC-32
 (IEEE, over the payload only). A scan stops at the first frame that fails
 magic, bounds, CRC, or record decoding; everything before it is the valid
 prefix.
+
+Commit payload (one per committed transaction in a commit log): tag "C" |
+u64le st | u64le ct | u32le write count | writes, each u16le key length |
+key | effect encoding. The tag is no RecordKind value, so a journal record
+never decodes as a commit.
 
 Map file layout: magic "CBLMAP01" | u32le entry count | entries sorted by
 key bytes | u32le CRC-32 over everything after the magic. Each entry is
@@ -22,6 +27,7 @@ from .store import IntegrityError, JournalRecord, RecordKind, Window
 
 FRAME_MAGIC = b"CBLE"
 MAP_MAGIC = b"CBLMAP01"
+COMMIT_TAG = b"C"
 _FRAME_HEADER = len(FRAME_MAGIC) + 4
 
 
@@ -76,6 +82,41 @@ def decode_record(payload: bytes) -> JournalRecord:
         raise IntegrityError(f"bad record payload: {exc}") from exc
 
 
+def encode_commit(st: int, ct: int, writes: dict[str, Effect]) -> bytes:
+    out = bytearray(COMMIT_TAG)
+    out += struct.pack("<QQI", st, ct, len(writes))
+    for key, eff in writes.items():
+        kb = key.encode("utf-8")
+        out += struct.pack("<H", len(kb))
+        out += kb
+        out += encode_effect(eff)
+    return bytes(out)
+
+
+def decode_commit(payload: bytes) -> tuple[int, int, dict[str, Effect]]:
+    """(st, ct, folded writes) of a commit payload; IntegrityError if malformed."""
+    try:
+        if payload[:1] != COMMIT_TAG:
+            raise ValueError("not a commit payload")
+        st, ct, count = struct.unpack_from("<QQI", payload, 1)
+        off = 1 + 20
+        writes: dict[str, Effect] = {}
+        for _ in range(count):
+            (klen,) = struct.unpack_from("<H", payload, off)
+            off += 2
+            kb = payload[off:off + klen]
+            if len(kb) != klen:
+                raise ValueError("short key")
+            off += klen
+            key = kb.decode("utf-8")
+            writes[key], off = decode_effect(payload, off)
+        if off != len(payload):
+            raise ValueError("trailing bytes in commit payload")
+        return st, ct, writes
+    except (IndexError, struct.error, UnicodeDecodeError, ValueError) as exc:
+        raise IntegrityError(f"bad commit payload: {exc}") from exc
+
+
 def encode_frame(payload: bytes) -> bytes:
     return (FRAME_MAGIC + struct.pack("<I", len(payload)) + payload
             + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
@@ -104,6 +145,17 @@ def scan_frames(data: bytes) -> tuple[list[bytes], int]:
         payloads.append(payload)
         off = end
     return payloads, off
+
+
+def frame_after(data: bytes, start: int) -> bool:
+    """Whether a whole, CRC-valid frame begins anywhere past offset start."""
+    view = memoryview(data)
+    pos = data.find(FRAME_MAGIC, start + 1)
+    while pos >= 0:
+        if scan_frames(view[pos:])[0]:
+            return True
+        pos = data.find(FRAME_MAGIC, pos + 1)
+    return False
 
 
 def scan_records(data: bytes) -> tuple[list[JournalRecord], int]:

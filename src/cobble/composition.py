@@ -12,7 +12,7 @@ from functools import cached_property
 
 from .effects import Effect
 from .memory import MapStore
-from .persistent import PersistentJournal
+from .persistent import CommitLog, PersistentJournal
 from .store import (
     Store,
     StoreError,
@@ -92,14 +92,17 @@ class ComposedStore(Store):
 
 
 class WALMemtablePair(Store):
-    """Durable journal plus a fast map over the same window.
+    """Durable log plus a fast map over the same window.
 
-    Updates and commits hit the WAL first (commit acknowledged after fsync),
-    then the memtable; reads come from the memtable. The two stay
-    lookup-equivalent at all times.
+    The log only has to rebuild the memtable's committed state after a
+    crash; reads come from the memtable alone. A commit reaches the log
+    first (acknowledged after fsync), then the memtable. The engine's log is
+    a CommitLog, which writes nothing before commit; any log with the store
+    write protocol fits, a PersistentJournal included.
     """
 
-    def __init__(self, wal: PersistentJournal, memtable: MapStore, window: Window):
+    def __init__(self, wal: CommitLog | PersistentJournal, memtable: MapStore,
+                 window: Window):
         self.wal = wal
         self.memtable = memtable
         self._window = window
@@ -114,6 +117,10 @@ class WALMemtablePair(Store):
     def sealed(self) -> bool:
         return self._window.hi is not None
 
+    @property
+    def last_ct(self) -> int | None:
+        return self._last_ct
+
     def do_begin(self, txn: TransactionDescriptor) -> None:
         if self.sealed:
             raise StoreError("begin on a sealed pair")
@@ -125,11 +132,16 @@ class WALMemtablePair(Store):
         self.memtable.do_update(txn, key, effect)
 
     def do_commit(self, txn: TransactionDescriptor) -> None:
+        # a commit the memtable would refuse must not leave a durable frame
+        self.memtable._txn_check_active(txn.txn_id)
         self.wal.do_commit(txn)  # durability gate: fsync happens in here
         self.memtable.do_commit(txn)
-        self.committed_effects += len(txn.effect_buffer)
-        if txn.ct is not None and (self._last_ct is None or txn.ct > self._last_ct):
-            self._last_ct = txn.ct
+        self._count_commit(txn.ct, len(txn.effect_buffer))
+
+    def _count_commit(self, ct: int | None, n_effects: int) -> None:
+        self.committed_effects += n_effects
+        if ct is not None and (self._last_ct is None or ct > self._last_ct):
+            self._last_ct = ct
 
     def do_abort(self, txn: TransactionDescriptor) -> None:
         self.wal.do_abort(txn)
@@ -154,25 +166,16 @@ class WALMemtablePair(Store):
 
 
 def rebuild_wmp(wal_path: str, lo: int) -> WALMemtablePair:
-    """Reconstruct a live pair from its WAL after a crash.
+    """Reconstruct a live pair from its commit log after a crash.
 
-    Journal recovery aborts whatever the crash left open; the memtable is
-    replayed from the committed transactions in commit-timestamp order.
+    The memtable is replayed from the logged commits; a transaction the
+    crash left open wrote nothing, so there is nothing to abort.
     """
-    wal = PersistentJournal.recover(wal_path)
-    memtable = MapStore()
-    last_ct = None
-    effects = 0
-    for ct, st, txn_id, writes in wal.committed_txns():
-        desc = TransactionDescriptor(txn_id, st, ct)
-        desc.effect_buffer = dict(writes)
-        memtable.do_begin(desc)
-        memtable.do_commit(desc)
-        last_ct = ct if last_ct is None else max(last_ct, ct)
-        effects += len(writes)
-    wmp = WALMemtablePair(wal, memtable, Window(lo, None))
-    wmp._last_ct = last_ct
-    wmp.committed_effects = effects
+    wal, commits = CommitLog.recover(wal_path)
+    wmp = WALMemtablePair(wal, MapStore(), Window(lo, None))
+    for st, ct, writes in commits:
+        wmp.memtable.insert_committed(ct, st, writes)
+        wmp._count_commit(ct, len(writes))
     return wmp
 
 

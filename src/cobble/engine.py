@@ -1,12 +1,15 @@
-"""Levelled store engine: live WAL+memtable pairs on top, checkpoint levels
-below, a MANIFEST journal recording every structural change.
+"""Levelled store engine: live pairs (a commit log plus a memtable) on top,
+checkpoint levels below, a MANIFEST journal recording every structural
+change.
 
-Reads walk levels newest to oldest collecting per-slice effects until an
-assignment cuts history, then fold the slices oldest-first. Compaction only
-folds already-consolidated entries; it never merges concurrent effects
-across stores. Recovery replays the MANIFEST, rebuilds live pairs from
-their WALs, pushes them to level 0, and restarts timestamps above
-everything it saw; rerunning it reproduces the same visible layout.
+Each live pair's log holds one frame per committed transaction and serves
+no reads. Reads walk levels newest to oldest collecting per-slice effects
+until an assignment cuts history, then fold the slices oldest-first.
+Compaction only folds already-consolidated entries; it never merges
+concurrent effects across stores. Recovery replays the MANIFEST, rebuilds
+live pairs from their commit logs, pushes them to level 0, and restarts
+timestamps above every commit timestamp it saw; rerunning it reproduces the
+same visible layout.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from . import effects, faults
 from .composition import Checkpoint, WALMemtablePair, make_checkpoint, rebuild_wmp
 from .effects import Effect, apply
 from .memory import MapStore
-from .persistent import PersistentJournal
+from .persistent import CommitLog, PersistentJournal
 from .store import (
     RecordKind,
     StaleSnapshotError,
@@ -188,8 +191,7 @@ class LevelledStore(Store):
         path = self._abs(rel)
         if os.path.exists(path):
             os.remove(path)  # orphan from an earlier crash; never referenced
-        wal = PersistentJournal(path)
-        wmp = WALMemtablePair(wal, _fresh_map(), Window(lo, None))
+        wmp = WALMemtablePair(CommitLog(path), _fresh_map(), Window(lo, None))
         wmp._wal_rel = rel
         faults.fire("after-wal-write-before-manifest", path=path)
         entries = list(extra_entries)
@@ -614,9 +616,8 @@ def recover_engine(directory: str, config: EngineConfig | None = None
         wmp = rebuild_wmp(os.path.join(directory, entry.path), entry.window.lo)
         wmp._wal_rel = entry.path
         wmps.append(wmp)
-        for rec in wmp.wal.records():
-            if rec.kind in (RecordKind.BEGIN, RecordKind.COMMIT) and rec.ts > highest:
-                highest = rec.ts
+        if wmp.last_ct is not None and wmp.last_ct > highest:
+            highest = wmp.last_ct
     faults.fire("during-recovery-step-2")
 
     # An empty trailing pair is kept as the accepting pair instead of being
@@ -674,8 +675,8 @@ def recover_engine(directory: str, config: EngineConfig | None = None
         fresh_abs = os.path.join(directory, fresh_rel)
         if os.path.exists(fresh_abs):
             os.remove(fresh_abs)
-        fresh_wal = PersistentJournal(fresh_abs)
-        fresh = WALMemtablePair(fresh_wal, _fresh_map(), Window(coverage_hi, None))
+        fresh = WALMemtablePair(CommitLog(fresh_abs), _fresh_map(),
+                                Window(coverage_hi, None))
         fresh._wal_rel = fresh_rel
         entries.append(ManifestEntry(ManifestAction.ADD, LIVE_LEVEL, fresh_rel,
                                      Window(coverage_hi, None)))

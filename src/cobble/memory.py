@@ -211,14 +211,20 @@ class MapStore(TxnLifecycleMixin, Store):
         self._txn_check_active(txn.txn_id)
         if txn.ct is None:
             raise TransactionError(f"commit of txn {txn.txn_id!r} without a ct")
+        self.insert_committed(txn.ct, txn.st, txn.effect_buffer, txn.txn_id)
+        self._txn_terminate(txn.txn_id)
+
+    def insert_committed(self, ct: int, st: int, writes: dict[str, Effect],
+                         txn_id: str = "") -> None:
+        """Insert one committed transaction's folded writes, atomically with
+        respect to readers. Recovery calls it directly: a version's txn id
+        never changes a read, because commit timestamps are unique."""
         with self._lock:
             if self._sealed:
                 raise StoreError("commit on a sealed map")
-            for key, eff in txn.effect_buffer.items():
+            for key, eff in writes.items():
                 versions = self._per_key.setdefault(key, [])
-                bisect.insort(versions, (txn.ct, txn.st, txn.txn_id, eff),
-                              key=lambda v: v[0])
-        self._txn_terminate(txn.txn_id)
+                bisect.insort(versions, (ct, st, txn_id, eff), key=lambda v: v[0])
 
     def do_abort(self, txn: TransactionDescriptor) -> None:
         self._txn_check_active(txn.txn_id)
@@ -254,7 +260,10 @@ class MapStore(TxnLifecycleMixin, Store):
                 groups_newest_first.append(group)
         acc: Effect | None = None
         for g in reversed(groups_newest_first):
-            eff = collapse([StampedEffect(ct, tid, e) for ct, st, tid, e in g])
+            if len(g) == 1:
+                eff = g[0][3]  # a lone version is its own collapse
+            else:
+                eff = collapse([StampedEffect(ct, tid, e) for ct, st, tid, e in g])
             acc = eff if acc is None else apply(acc, eff)
         return acc
 

@@ -1,35 +1,50 @@
-"""Crash-tolerant persistent journal.
+"""Crash-tolerant logs: the persistent journal and the thin commit log.
 
-Same read semantics as the in-memory journal; every append is also framed
-into a log file. Commit acknowledgment happens only after fsync. Recovery
-scans the longest valid frame prefix, truncates torn bytes, and appends
-abort records for transactions the crash left unterminated, so a second
-recovery pass is a byte-identical no-op.
+PersistentJournal has the in-memory journal's read semantics; every append
+is also framed into a log file. Commit acknowledgment happens only after
+fsync. Recovery scans the longest valid frame prefix, truncates torn bytes,
+and appends abort records for transactions the crash left unterminated, so
+a second recovery pass is a byte-identical no-op.
+
+CommitLog answers no reads: it only lets a live pair rebuild its memtable
+after a crash, so it writes one frame per committed transaction and keeps
+nothing in memory.
 """
 
 from __future__ import annotations
 
 import os
 import shutil
+import threading
+from typing import NoReturn
 
 from . import codec, faults
+from .effects import Effect
 from .memory import JournalStore
-from .store import JournalRecord, RecordKind, StoreError, TransactionDescriptor
+from .store import (
+    IntegrityError,
+    JournalRecord,
+    RecordKind,
+    StoreError,
+    TransactionDescriptor,
+)
 
 
-class PersistentJournal(JournalStore):
-    def __init__(self, path: str, _records: list[JournalRecord] | None = None):
-        if _records is None and os.path.exists(path) and os.path.getsize(path) > 0:
-            raise StoreError(f"{path} already has content; use PersistentJournal.recover")
-        super().__init__()
+class _FrameFile:
+    """The append-only frame file under both logs.
+
+    Opened unbuffered, so a process crash never holds frames hostage in
+    userspace and close() can never leak an unacknowledged commit. After an
+    I/O error the file is rolled back to its durable prefix, so a commit
+    whose write or fsync failed can never surface after recovery, and the
+    log stays failed.
+    """
+
+    def _open_frames(self, path: str, recovered: bool) -> None:
+        if not recovered and os.path.exists(path) and os.path.getsize(path) > 0:
+            raise StoreError(f"{path} already has content; use {type(self).__name__}.recover")
         self._path = path
         self._failed = False
-        if _records:
-            for rec in _records:
-                super()._append(rec)
-            self._rebuild_lifecycle()
-        # unbuffered: a process crash never holds frames hostage in
-        # userspace, and close() can never leak an unacknowledged commit
         self._f = open(path, "ab", buffering=0)
         self._size = os.path.getsize(path)
         self._durable_offset = self._size
@@ -43,42 +58,62 @@ class PersistentJournal(JournalStore):
         """File size at the last successful fsync; bytes past it may be lost."""
         return self._durable_offset
 
-    def _check_ok(self):
+    def _check_ok(self) -> None:
         if self._failed:
-            raise StoreError(f"journal {self._path} is failed after an I/O error")
+            raise StoreError(f"log {self._path} is failed after an I/O error")
+
+    def _fail(self, what: str, exc: OSError) -> NoReturn:
+        self._failed = True
+        try:
+            os.truncate(self._path, self._durable_offset)
+        except OSError:
+            pass
+        raise StoreError(f"{what} failed: {exc}") from exc
+
+    def _write_frame(self, payload: bytes) -> None:
+        self._check_ok()
+        frame = codec.encode_frame(payload)
+        try:
+            if self._f.write(frame) != len(frame):
+                raise OSError("short write")
+        except OSError as exc:
+            self._fail("append", exc)
+        self._size += len(frame)
+
+    def _sync(self) -> None:
+        """fsync everything written; fires `before-flush` first."""
+        self._check_ok()
+        try:
+            faults.fire("before-flush", path=self._path)
+            os.fsync(self._f.fileno())
+        except OSError as exc:
+            self._fail("flush", exc)
+        self._durable_offset = self._size
+
+    def close(self) -> None:
+        try:
+            self._f.close()
+        except OSError:
+            pass
+
+
+class PersistentJournal(JournalStore, _FrameFile):
+    def __init__(self, path: str, _records: list[JournalRecord] | None = None):
+        self._open_frames(path, recovered=_records is not None)
+        super().__init__()
+        if _records:
+            for rec in _records:
+                super()._append(rec)
+            self._rebuild_lifecycle()
 
     def _append(self, rec: JournalRecord) -> None:
-        self._check_ok()
-        frame = codec.encode_frame(codec.encode_record(rec))
-        try:
-            self._f.write(frame)
-        except OSError as exc:
-            self._failed = True
-            raise StoreError(f"append failed: {exc}") from exc
-        self._size += len(frame)
+        self._write_frame(codec.encode_record(rec))
         super()._append(rec)
 
     def flush(self) -> None:
         """fsync everything appended so far."""
         with self._lock:
-            self._flush_locked()
-
-    def _flush_locked(self) -> None:
-        self._check_ok()
-        try:
-            faults.fire("before-flush", path=self._path)
-            self._f.flush()
-            os.fsync(self._f.fileno())
-        except OSError as exc:
-            self._failed = True
-            # roll the file back to the durable prefix so a commit whose
-            # flush failed can never surface as committed after recovery
-            try:
-                os.truncate(self._path, self._durable_offset)
-            except OSError:
-                pass
-            raise StoreError(f"flush failed: {exc}") from exc
-        self._durable_offset = self._size
+            self._sync()
 
     def do_commit(self, txn: TransactionDescriptor) -> None:
         self._txn_check_active(txn.txn_id)
@@ -86,7 +121,7 @@ class PersistentJournal(JournalStore):
             raise StoreError(f"commit of txn {txn.txn_id!r} without a ct")
         with self._lock:
             self._append(JournalRecord(RecordKind.COMMIT, txn.txn_id, txn.ct))
-            self._flush_locked()  # commit is acknowledged only once durable
+            self._sync()  # commit is acknowledged only once durable
         self._txn_terminate(txn.txn_id)
 
     def append_manifest(self, txn: TransactionDescriptor, payload: bytes) -> None:
@@ -94,12 +129,6 @@ class PersistentJournal(JournalStore):
         self._txn_check_active(txn.txn_id)
         with self._lock:
             self._append(JournalRecord(RecordKind.MANIFEST, txn.txn_id, payload=payload))
-
-    def close(self) -> None:
-        try:
-            self._f.close()
-        except OSError:
-            pass
 
     def persist(self, path: str) -> None:
         self.flush()
@@ -132,5 +161,61 @@ class PersistentJournal(JournalStore):
             with journal._lock:
                 for txn_id in unterminated:
                     journal._append(JournalRecord(RecordKind.ABORT, txn_id))
-                journal._flush_locked()
+                journal._sync()
         return journal
+
+
+class CommitLog(_FrameFile):
+    """Write-ahead log of committed transactions, one CRC frame each.
+
+    Each frame holds (st, ct, folded writes). Begin, update and abort write
+    nothing: a transaction that never commits leaves no trace, so recovery
+    has nothing to abort. Commit is one write plus one fsync and is
+    acknowledged only once durable. The log keeps only its file and the
+    durable offset.
+    """
+
+    def __init__(self, path: str, _recovered: bool = False):
+        self._open_frames(path, _recovered)
+        self._lock = threading.Lock()
+
+    def do_begin(self, txn: TransactionDescriptor) -> None:
+        pass
+
+    def do_update(self, txn: TransactionDescriptor, key: str, effect: Effect) -> None:
+        pass
+
+    def do_abort(self, txn: TransactionDescriptor) -> None:
+        pass
+
+    def do_commit(self, txn: TransactionDescriptor) -> None:
+        if txn.ct is None:
+            raise StoreError(f"commit of txn {txn.txn_id!r} without a ct")
+        payload = codec.encode_commit(txn.st, txn.ct, txn.effect_buffer)
+        with self._lock:
+            self._write_frame(payload)
+            self._sync()
+
+    @classmethod
+    def recover(cls, path: str) -> tuple["CommitLog", list[tuple[int, int, dict[str, Effect]]]]:
+        """Open an existing log; returns it and its commits as (st, ct, writes).
+
+        A torn tail, or one that fails its CRC, is truncated, so a second
+        recovery leaves the file byte-identical. Frames are written and
+        fsynced one at a time, so a crash can tear only the last one: a bad
+        frame with a valid frame after it, or a frame that passes its CRC
+        but does not decode, raises IntegrityError and leaves the file as it
+        is.
+        """
+        if not os.path.exists(path):
+            raise StoreError(f"no commit log at {path}")
+        with open(path, "rb") as f:
+            data = f.read()
+        payloads, valid_end = codec.scan_frames(data)
+        commits = [codec.decode_commit(p) for p in payloads]
+        if valid_end < len(data):
+            if codec.frame_after(data, valid_end):
+                raise IntegrityError(
+                    f"{path}: bad frame at byte {valid_end} with valid frames after it")
+            os.truncate(path, valid_end)
+        return cls(path, _recovered=True), commits

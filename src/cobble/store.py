@@ -50,7 +50,11 @@ def check_key(key: str) -> None:
         raise StoreError("key must be a non-empty string")
     if "\x00" in key:
         raise StoreError("key must not contain NUL")
-    if len(key.encode("utf-8")) > MAX_KEY_BYTES:
+    try:
+        size = len(key.encode("utf-8"))
+    except UnicodeEncodeError:  # a lone surrogate has no utf-8 form
+        raise StoreError("key must be valid unicode") from None
+    if size > MAX_KEY_BYTES:
         raise StoreError(f"key longer than {MAX_KEY_BYTES} utf-8 bytes")
 
 

@@ -1,6 +1,7 @@
 """Windowed composition: write-all/read-one, the WAL+memtable pair, and
 checkpoint consolidation."""
 
+import os
 import random
 
 import pytest
@@ -17,12 +18,13 @@ from cobble.composition import (
 )
 from cobble.effects import Effect
 from cobble.memory import JournalStore, MapStore
-from cobble.oracle import generate_trace, replay
-from cobble.persistent import PersistentJournal
+from cobble.oracle import generate_trace, replay, valuation_effect
+from cobble.persistent import CommitLog, PersistentJournal
 from cobble.store import (
     RecordKind,
     StoreError,
     TransactionDescriptor,
+    TransactionError,
     Window,
     WindowError,
 )
@@ -180,7 +182,8 @@ class TestWALMemtablePair:
             wmp.do_begin(TransactionDescriptor("a", st=0))
 
     def test_rebuild_from_wal(self, tmp_path):
-        wmp = fresh_wmp(tmp_path)
+        wmp = WALMemtablePair(CommitLog(str(tmp_path / "wal.log")), MapStore(),
+                              Window(0, None))
         trace = generate_trace(seed=6, txn_count=25)
         replay(wmp, trace)
         # simulate a crash: no close, no seal; reopen from the log alone
@@ -191,7 +194,29 @@ class TestWALMemtablePair:
         for rs in range(1, trace.max_ct() + 2):
             for key in trace.keys():
                 assert eff_tuple(back, key, rs) == eff_tuple(wmp, key, rs)
+                assert eff_tuple(back, key, rs) == valuation_effect(trace, key, rs)
         assert back.seal() == wmp.seal()
+
+    def test_double_commit_writes_no_frame(self, tmp_path):
+        wmp = WALMemtablePair(CommitLog(str(tmp_path / "wal.log")), MapStore(),
+                              Window(0, None))
+        txn = TransactionDescriptor("a", st=0)
+        wmp.do_begin(txn)
+        txn.effect_buffer["k"] = Effect.assign(1)
+        wmp.do_update(txn, "k", Effect.assign(1))
+        txn.ct = 1
+        wmp.do_commit(txn)
+        size = wmp.wal.durable_offset
+        for ct in (1, 2):
+            txn.ct = ct
+            with pytest.raises(TransactionError):
+                wmp.do_commit(txn)
+        assert os.path.getsize(wmp.wal.path) == size
+        with pytest.raises(TransactionError):  # never begun
+            wmp.do_commit(TransactionDescriptor("b", st=0, ct=3))
+        assert os.path.getsize(wmp.wal.path) == size
+        assert wmp.committed_effects == 1
+        wmp.wal.close()
 
 
 class TestCheckpoint:

@@ -1,4 +1,5 @@
-"""Persistent journal: framing codec, durability, and crash recovery."""
+"""Persistent journal and commit log: framing codecs, durability, and crash
+recovery."""
 
 import os
 import random
@@ -6,11 +7,12 @@ import random
 import pytest
 
 from cobble import codec, faults
+from cobble.composition import rebuild_wmp
 from cobble.effects import Effect
 from cobble.faults import CorruptBytes, FailFlush, FaultPlan, TruncateAt
 from cobble.memory import JournalStore, MapStore
 from cobble.oracle import generate_trace, replay, valuation_effect
-from cobble.persistent import PersistentJournal
+from cobble.persistent import CommitLog, PersistentJournal
 from cobble.store import (
     IntegrityError,
     JournalRecord,
@@ -209,6 +211,166 @@ class TestRecovery:
         _, valid_end = codec.scan_records(data)
         assert valid_end == len(data)
         j.close()
+
+
+class TestCommitLog:
+    def _log(self, tmp_path, n=5):
+        """A commit log holding n committed txns, closed; returns its path."""
+        path = str(tmp_path / "wal.log")
+        log = CommitLog(path)
+        for i in range(n):
+            txn = TransactionDescriptor(f"t{i}", st=i, ct=i)
+            txn.effect_buffer = {"k": Effect.incr(i + 1), f"j{i}": Effect.assign(i)}
+            log.do_commit(txn)
+        log.close()
+        return path
+
+    def test_commit_payload_round_trip(self):
+        writes = {"k": Effect(None, -3), "é": Effect(5, 2)}
+        payload = codec.encode_commit(7, 9, writes)
+        assert codec.decode_commit(payload) == (7, 9, writes)
+        assert codec.decode_commit(codec.encode_commit(0, 1, {})) == (0, 1, {})
+        for bad in (payload[:-1], payload + b"\x00", b"",
+                    codec.encode_record(JournalRecord(RecordKind.BEGIN, "t", 3))):
+            with pytest.raises(IntegrityError):
+                codec.decode_commit(bad)
+
+    def test_one_frame_per_commit_and_nothing_before(self, tmp_path):
+        log = CommitLog(str(tmp_path / "wal.log"))
+        txn = TransactionDescriptor("a", st=2)
+        log.do_begin(txn)
+        log.do_update(txn, "k", Effect.incr(1))
+        txn.effect_buffer["k"] = Effect.incr(1)
+        assert os.path.getsize(log.path) == 0
+        txn.ct = 4
+        log.do_commit(txn)
+        frame = codec.encode_frame(codec.encode_commit(2, 4, {"k": Effect.incr(1)}))
+        assert os.path.getsize(log.path) == log.durable_offset == len(frame)
+        log.close()
+
+    def test_aborted_txn_adds_no_bytes(self, tmp_path):
+        path = self._log(tmp_path, n=2)
+        log, _ = CommitLog.recover(path)
+        size = os.path.getsize(path)
+        txn = TransactionDescriptor("gone", st=2)
+        log.do_begin(txn)
+        log.do_update(txn, "k", Effect.assign(9))
+        log.do_abort(txn)
+        log.close()
+        assert os.path.getsize(path) == size
+
+    def test_recover_returns_commits_in_log_order(self, tmp_path):
+        path = self._log(tmp_path, n=3)
+        log, commits = CommitLog.recover(path)
+        log.close()
+        assert [(st, ct) for st, ct, _ in commits] == [(0, 0), (1, 1), (2, 2)]
+        assert commits[2][2] == {"k": Effect.incr(3), "j2": Effect.assign(2)}
+
+    def test_torn_tail_truncated_and_recovery_idempotent(self, tmp_path):
+        path = self._log(tmp_path)
+        full = os.path.getsize(path)
+        faults.truncate_file(path, -3)
+        log, commits = CommitLog.recover(path)
+        log.close()
+        assert len(commits) == 4
+        first = open(path, "rb").read()
+        assert len(first) < full - 3
+        log, again = CommitLog.recover(path)
+        log.close()
+        assert again == commits
+        assert open(path, "rb").read() == first
+
+    def test_crc_failure_in_tail_truncates_it(self, tmp_path):
+        path = self._log(tmp_path)
+        faults.corrupt_file(path, -9, 2)
+        log, commits = CommitLog.recover(path)
+        log.close()
+        assert [ct for _, ct, _ in commits] == [0, 1, 2, 3]
+        _, valid_end = codec.scan_frames(open(path, "rb").read())
+        assert valid_end == os.path.getsize(path)
+
+    def test_corrupt_middle_frame_raises_and_stays_unchanged(self, tmp_path):
+        path = self._log(tmp_path, n=10)
+        size = os.path.getsize(path)
+        for off in (size // 3, 2, 5):  # a payload byte, the magic, the length
+            faults.corrupt_file(path, off, 1)
+            before = open(path, "rb").read()
+            with pytest.raises(IntegrityError):
+                CommitLog.recover(path)
+            assert open(path, "rb").read() == before
+            faults.corrupt_file(path, off, 1)  # flip it back
+        log, commits = CommitLog.recover(path)
+        log.close()
+        assert len(commits) == 10
+
+    def test_random_truncation_rebuilds_the_committed_prefix(self, tmp_path):
+        rng = random.Random(11)
+        path = str(tmp_path / "wal.log")
+        log = CommitLog(path)
+        txns, ends = [], []
+        for i in range(30):
+            txn = TransactionDescriptor(f"t{i}", st=rng.randrange(i + 1), ct=i + 1)
+            for _ in range(rng.randrange(4)):
+                key = f"k{rng.randrange(6)}"
+                txn.effect_buffer[key] = (Effect.incr(rng.randrange(-5, 9))
+                                          if rng.random() < 0.6
+                                          else Effect.assign(rng.randrange(99)))
+            log.do_commit(txn)
+            txns.append(txn)
+            ends.append(log.durable_offset)
+        log.close()
+        data = open(path, "rb").read()
+        cut_path = str(tmp_path / "cut.log")
+        for cut in [0, ends[-1]] + [rng.randrange(ends[-1]) for _ in range(12)]:
+            with open(cut_path, "wb") as f:
+                f.write(data[:cut])
+            kept = sum(1 for end in ends if end <= cut)
+            oracle = MapStore()
+            for txn in txns[:kept]:
+                oracle.do_begin(txn)
+                oracle.do_commit(txn)
+            back = rebuild_wmp(cut_path, lo=0)
+            assert os.path.getsize(cut_path) == (ends[kept - 1] if kept else 0)
+            assert back.last_ct == (kept or None)
+            for key in (f"k{i}" for i in range(6)):
+                for rs in range(1, 32):
+                    assert eff_tuple(back, key, rs) == eff_tuple(oracle, key, rs)
+            back.wal.close()
+
+    def test_failed_flush_rolls_the_frame_back(self, tmp_path):
+        path = self._log(tmp_path, n=2)
+        log, _ = CommitLog.recover(path)
+        size = os.path.getsize(path)
+        faults.install_plan(FaultPlan().arm("before-flush", FailFlush()))
+        txn = TransactionDescriptor("lost", st=2, ct=2)
+        txn.effect_buffer = {"k": Effect.assign(99)}
+        with pytest.raises(StoreError):
+            log.do_commit(txn)
+        faults.clear_plan()
+        assert os.path.getsize(path) == size == log.durable_offset
+        with pytest.raises(StoreError):  # the log stays failed
+            log.do_commit(TransactionDescriptor("next", st=2, ct=3))
+        log.close()
+        log, commits = CommitLog.recover(path)
+        log.close()
+        assert [ct for _, ct, _ in commits] == [0, 1]
+
+    def test_journal_format_file_raises_and_stays_unchanged(self, tmp_path):
+        path = str(tmp_path / "journal.log")
+        j = PersistentJournal(path)
+        commit(j, "a", st=0, ct=1, updates=[("k", Effect.assign(3))])
+        j.close()
+        before = open(path, "rb").read()
+        with pytest.raises(IntegrityError):
+            CommitLog.recover(path)
+        assert open(path, "rb").read() == before
+
+    def test_existing_content_needs_recover(self, tmp_path):
+        path = self._log(tmp_path, n=1)
+        with pytest.raises(StoreError):
+            CommitLog(path)
+        with pytest.raises(StoreError):
+            CommitLog.recover(str(tmp_path / "nope.log"))
 
 
 class TestMapFile:

@@ -53,6 +53,12 @@ class TestKeyRules:
         with pytest.raises(StoreError):
             check_key("é" * ((MAX_KEY_BYTES // 2) + 1))
 
+    def test_lone_surrogate_rejected(self):
+        # it has no utf-8 form; the error must be the store's, not the codec's
+        for key in ("\ud800", "a\udfffb"):
+            with pytest.raises(StoreError):
+                check_key(key)
+
 
 class TestWindow:
     def test_contains_half_open(self):

@@ -121,6 +121,14 @@ class TestLifecycle:
         ids = {mgr.begin_txn().txn_id for _ in range(50)}
         assert len(ids) == 50
 
+    def test_lone_surrogate_key_rejected_by_update(self):
+        mgr = manager()
+        t = mgr.begin_txn()
+        with pytest.raises(StoreError):
+            t.assign("\ud800", 1)
+        assert t.txn.effect_buffer == {}
+        t.abort()
+
     def test_empty_commit_succeeds(self):
         mgr = manager()
         res = mgr.begin_txn().commit()

@@ -154,10 +154,16 @@ def _cmd_recover(args) -> int:
           f"horizon {layout['horizon']}")
     for rel, (lo, hi) in layout["live"]:
         print(f"  live  {rel}  window [{lo}, {'open' if hi is None else hi})")
-    for lvl, row in enumerate(layout["levels"]):
-        for path, (lo, hi), key_range in row:
+    for lvl, (row, counts) in enumerate(zip(layout["levels"], layout["entries"])):
+        total_bytes = 0
+        for (path, (lo, hi), key_range), n in zip(row, counts):
+            size = os.path.getsize(os.path.join(args.dir, path))
+            total_bytes += size
             kr = "" if key_range is None else f"  keys [{key_range[0]}..{key_range[1]}]"
-            print(f"  L{lvl}    {path}  window [{lo}, {hi}){kr}")
+            print(f"  L{lvl}    {path}  window [{lo}, {hi})  {n} entries  {size} B{kr}")
+        if row:
+            print(f"  L{lvl}    total  {len(row)} checkpoints  {sum(counts)} entries  "
+                  f"{total_bytes} B")
     engine.close()
     return 0
 

@@ -10,25 +10,34 @@ u64le st | u64le ct | u32le write count | writes, each u16le key length |
 key | effect encoding. The tag is no RecordKind value, so a journal record
 never decodes as a commit.
 
-Map file layout: magic "CBLMAP01" | u32le entry count | entries sorted by
-key bytes | u32le CRC-32 over everything after the magic. Each entry is
-u16le key length | key | u64le window.lo | u64le window.hi | u32le version
-count | versions, each u64le ct | u64le st | effect encoding.
+Map (checkpoint) file layout, little-endian on every host: magic
+"CBLMAP02" | u64 window.lo | u64 window.hi | u32 entry count n | u32 key
+blob length | key blob | n flag bytes | n i64 bases | n i64 deltas | u32
+CRC-32 over everything after the magic. The key blob is the n keys in
+UTF-8, strictly ascending by code point (which UTF-8 byte order keeps),
+joined by NUL, which no key contains. Entry i is keys[i] with effect
+(bases[i] if flags[i] else None, deltas[i]); a base is 0 where its flag is
+0. A store keeps one consolidated effect per key at its window top, so the
+window is stored once per file, and no version, ct or st per entry.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 import struct
+import sys
 import zlib
+from array import array
 
 from .effects import Effect, decode_effect, encode_effect
 from .store import IntegrityError, JournalRecord, RecordKind, Window
 
 FRAME_MAGIC = b"CBLE"
-MAP_MAGIC = b"CBLMAP01"
+MAP_MAGIC = b"CBLMAP02"
 COMMIT_TAG = b"C"
 _FRAME_HEADER = len(FRAME_MAGIC) + 4
+_MAP_HEADER = struct.Struct("<QQII")  # window lo, window hi, entry count, key blob bytes
 
 
 def encode_record(rec: JournalRecord) -> bytes:
@@ -188,10 +197,26 @@ def read_journal_file(path: str) -> tuple[list[JournalRecord], int]:
 
 # --- map / checkpoint files --------------------------------------------------
 
-def write_map_file(path: str, window: Window,
-                   entries: dict[str, list[tuple[int, int, Effect]]],
+def _le(column: array) -> bytes:
+    if sys.byteorder == "big":
+        column = array("q", column)
+        column.byteswap()
+    return column.tobytes()
+
+
+def _i64_column(data: bytes) -> array:
+    column = array("q")
+    column.frombytes(data)
+    if sys.byteorder == "big":
+        column.byteswap()
+    return column
+
+
+def write_map_file(path: str, window: Window, keys: list[str],
+                   flags: bytes | bytearray, bases: array, deltas: array,
                    fire_point: str | None = None) -> None:
-    """Entries map key -> [(ct, st, effect)]; hi must be finalized.
+    """Write one packed checkpoint: keys ascending by code point, with the
+    parallel has-base flag, base and delta columns; hi must be finalized.
 
     When fire_point is given the fault hook runs after half of the bytes
     are down, so an injected crash leaves a torn file behind.
@@ -200,63 +225,54 @@ def write_map_file(path: str, window: Window,
 
     if window.hi is None:
         raise ValueError("cannot persist an open window")
-    body = bytearray()
-    body += struct.pack("<I", len(entries))
-    for key, versions in sorted(entries.items(), key=lambda kv: kv[0].encode("utf-8")):
-        kb = key.encode("utf-8")
-        body += struct.pack("<H", len(kb))
-        body += kb
-        body += struct.pack("<QQ", window.lo, window.hi)
-        body += struct.pack("<I", len(versions))
-        for ct, st, eff in versions:
-            body += struct.pack("<QQ", ct, st)
-            body += encode_effect(eff)
-    blob = MAP_MAGIC + bytes(body) + struct.pack("<I", zlib.crc32(bytes(body)) & 0xFFFFFFFF)
+    n = len(keys)
+    if not len(flags) == len(bases) == len(deltas) == n:
+        raise ValueError("checkpoint columns differ in length")
+    blob = "\x00".join(keys).encode("utf-8")
+    body = b"".join((_MAP_HEADER.pack(window.lo, window.hi, n, len(blob)),
+                     blob, bytes(flags), _le(bases), _le(deltas)))
+    data = MAP_MAGIC + body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
     with open(path, "wb") as f:
-        half = len(blob) // 2
-        f.write(blob[:half])
+        half = len(data) // 2
+        f.write(data[:half])
         if fire_point:
             f.flush()
             faults.fire(fire_point, path=path)
-        f.write(blob[half:])
+        f.write(data[half:])
         f.flush()
         os.fsync(f.fileno())
 
 
-def read_map_file(path: str) -> tuple[Window | None, dict[str, list[tuple[int, int, Effect]]]]:
+def read_map_file(path: str) -> tuple[Window, list[str], bytes, array, array]:
+    """(window, keys, flags, bases, deltas) of a packed checkpoint file.
+
+    Bulk operations only: one CRC, one decode and split of the key blob and
+    one frombytes per column. IntegrityError on a torn, corrupt or malformed
+    file.
+    """
     with open(path, "rb") as f:
         data = f.read()
-    if len(data) < len(MAP_MAGIC) + 8 or data[:len(MAP_MAGIC)] != MAP_MAGIC:
+    head = len(MAP_MAGIC) + _MAP_HEADER.size
+    if len(data) < head + 4 or data[:len(MAP_MAGIC)] != MAP_MAGIC:
         raise IntegrityError(f"{path}: not a map file")
-    body = data[len(MAP_MAGIC):-4]
+    body = memoryview(data)[len(MAP_MAGIC):-4]
     (crc,) = struct.unpack_from("<I", data, len(data) - 4)
     if zlib.crc32(body) & 0xFFFFFFFF != crc:
         raise IntegrityError(f"{path}: checksum mismatch")
+    lo, hi, n, klen = _MAP_HEADER.unpack_from(data, len(MAP_MAGIC))
+    if head + klen + 17 * n + 4 != len(data) or (klen == 0) != (n == 0):
+        raise IntegrityError(f"{path}: section lengths disagree")
+    off = head + klen
     try:
-        off = 0
-        (count,) = struct.unpack_from("<I", body, off)
-        off += 4
-        entries: dict[str, list[tuple[int, int, Effect]]] = {}
-        window: Window | None = None
-        for _ in range(count):
-            (klen,) = struct.unpack_from("<H", body, off)
-            off += 2
-            key = body[off:off + klen].decode("utf-8")
-            off += klen
-            lo, hi = struct.unpack_from("<QQ", body, off)
-            off += 16
-            window = Window(lo, hi)
-            (vcount,) = struct.unpack_from("<I", body, off)
-            off += 4
-            versions = []
-            for _ in range(vcount):
-                ct, st = struct.unpack_from("<QQ", body, off)
-                off += 16
-                eff, off = decode_effect(body, off)
-                versions.append((ct, st, eff))
-            entries[key] = versions
-        if off != len(body):
-            raise ValueError("trailing bytes")
-        return window, entries
-    except (IndexError, struct.error, UnicodeDecodeError, ValueError) as exc:
-        raise IntegrityError(f"{path}: malformed map file: {exc}") from exc
+        keys = data[head:off].decode("utf-8").split("\x00") if n else []
+    except UnicodeDecodeError as exc:
+        raise IntegrityError(f"{path}: malformed key blob: {exc}") from exc
+    if len(keys) != n or (n and not keys[0]) or not all(map(operator.lt, keys, keys[1:])):
+        raise IntegrityError(f"{path}: keys not strictly ascending")
+    flags = data[off:off + n]
+    if flags.translate(None, b"\x00\x01"):
+        raise IntegrityError(f"{path}: bad has-base flag")
+    off += n
+    bases = _i64_column(data[off:off + 8 * n])
+    deltas = _i64_column(data[off + 8 * n:off + 16 * n])
+    return Window(lo, hi), keys, flags, bases, deltas

@@ -2,15 +2,17 @@
 
 Writes fan out to every ministore whose window contains the transaction's
 timestamp; reads route to one covering ministore (lowest read priority).
-A checkpoint freezes a sealed store's consolidated state at its window top.
+A checkpoint freezes a sealed store's consolidated state at its window top,
+packed as one sorted key run with columnar effects.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from functools import cached_property
 
-from .effects import Effect
+from .effects import Effect, effect_from_i64, wrap_i64
 from .memory import MapStore
 from .persistent import CommitLog, PersistentJournal
 from .store import (
@@ -182,30 +184,60 @@ def rebuild_wmp(wal_path: str, lo: int) -> WALMemtablePair:
 class Checkpoint(Store):
     """Single consolidated effect per key, valid for reads at or above hi.
 
+    Packed: one run of keys sorted by code point (which UTF-8 byte order
+    keeps) plus three parallel columns, a has-base flag byte, the i64 bases
+    (0 where the flag is 0) and the i64 deltas. Only this class knows the
+    columns; the engine's merge goes through its methods. A probe is one
+    hash lookup into a key -> position index built in bulk, and only a hit
+    builds an Effect. key_range is the first and the last key, so
+    covers_key is O(1). Loading a file is a few bulk operations with no
+    Python loop per entry.
+
     Immutable: never receives transactional writes. Reads below hi cannot be
     answered (the per-version history was folded away) and raise.
-
-    The key bounds (key_range) are computed lazily, once, on first use: the
-    entries never change, so the bounds are fixed metadata and covers_key is
-    O(1). They are not computed when a checkpoint is built or loaded, because
-    only levels >= 1 prune by them; an eager pass would add an O(n) scan to
-    every L0 checkpoint on the commit path and to every reopen.
     """
 
     def __init__(self, entries: dict[str, Effect], window: Window,
                  path: str | None = None):
+        self._fill(window, path, *_columns(sorted(entries.items())))
+
+    @classmethod
+    def _packed(cls, window: Window, keys: list[str], flags: bytes | bytearray,
+                bases: array, deltas: array, path: str | None = None,
+                index: dict[str, int] | None = None) -> "Checkpoint":
+        ck = cls.__new__(cls)
+        ck._fill(window, path, keys, flags, bases, deltas, index)
+        return ck
+
+    def _fill(self, window, path, keys, flags, bases, deltas, index=None) -> None:
         if window.hi is None:
             raise StoreError("checkpoint requires a sealed window")
-        self.entries = entries
         self.window = window
         self.path = path
+        self._keys = keys
+        self._flags = flags
+        self._bases = bases
+        self._deltas = deltas
+        self._index = dict(zip(keys, range(len(keys)))) if index is None else index
+        self.key_range: tuple[str, str] | None = (keys[0], keys[-1]) if keys else None
 
-    @cached_property
-    def key_range(self) -> tuple[str, str] | None:
-        if not self.entries:
-            return None
-        # str order is code-point order, which UTF-8 byte order preserves
-        return min(self.entries), max(self.entries)
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __iter__(self) -> Iterator[str]:
+        """The keys, ascending."""
+        return iter(self._keys)
+
+    def __contains__(self, key: str) -> bool:
+        return key in self._index
+
+    def _effect(self, i: int) -> Effect:
+        return effect_from_i64(self._bases[i] if self._flags[i] else None, self._deltas[i])
+
+    @property
+    def entries(self) -> dict[str, Effect]:
+        """key -> effect, built on each call (for inspection, not for reads)."""
+        return {key: self._effect(i) for i, key in enumerate(self._keys)}
 
     def covers_key(self, key: str) -> bool:
         kr = self.key_range
@@ -214,10 +246,45 @@ class Checkpoint(Store):
     def lookup(self, key: str, read_st: int,
                txn: TransactionDescriptor | None = None) -> Effect | None:
         check_key(key)
+        return self.probe(key, read_st)
+
+    def probe(self, key: str, read_st: int) -> Effect | None:
+        """lookup without the key check, for a caller that made it already."""
         if read_st < self.window.hi:
             raise WindowError(
                 f"checkpoint consolidated at {self.window.hi} cannot answer read_st {read_st}")
-        return self.entries.get(key)
+        i = self._index.get(key)
+        return None if i is None else self._effect(i)
+
+    def fold(self, newer: "Checkpoint", keys: Iterable[str], window: Window) -> "Checkpoint":
+        """A copy with newer's effect on each of keys applied on top, as
+        effects.apply(mine, newer's) does; both must hold every one of keys.
+        The key set does not change, so the copy shares the keys and index."""
+        flags = bytearray(self._flags)
+        bases = array("q", self._bases)
+        deltas = array("q", self._deltas)
+        index = self._index
+        for key in keys:
+            i, j = index[key], newer._index[key]
+            if newer._flags[j]:  # a later assignment absorbs the history
+                flags[i] = 1
+                bases[i] = newer._bases[j]
+                deltas[i] = newer._deltas[j]
+            else:
+                deltas[i] = wrap_i64(deltas[i] + newer._deltas[j])
+        return Checkpoint._packed(window, self._keys, flags, bases, deltas, index=index)
+
+    def subset(self, keys: list[str]) -> "Checkpoint":
+        """A new, unpersisted checkpoint of keys (ascending, all held here)
+        with their effects, over the same window."""
+        if len(keys) == len(self._keys):
+            return Checkpoint._packed(self.window, self._keys, self._flags,
+                                      self._bases, self._deltas, index=self._index)
+        pos = [self._index[key] for key in keys]
+        return Checkpoint._packed(
+            self.window, keys, bytes([self._flags[i] for i in pos]),
+            array("q", [self._bases[i] for i in pos]),
+            array("q", [self._deltas[i] for i in pos]))
 
     def _read_only(self):
         raise StoreError("checkpoint is read-only")
@@ -237,26 +304,31 @@ class Checkpoint(Store):
     def persist(self, path: str, fire_point: str | None = None) -> None:
         from . import codec
 
-        hi, lo = self.window.hi, self.window.lo
-        single = {k: [(hi - 1, lo, e)] for k, e in self.entries.items()}
-        codec.write_map_file(path, self.window, single, fire_point=fire_point)
+        codec.write_map_file(path, self.window, self._keys, self._flags,
+                             self._bases, self._deltas, fire_point=fire_point)
 
     @classmethod
     def load(cls, path: str, window: Window | None = None) -> "Checkpoint":
+        """Read a checkpoint file; window, when given, overrides the file's."""
         from . import codec
 
-        file_window, raw = codec.read_map_file(path)
-        window = window or file_window
-        if window is None:
-            raise StoreError(f"{path}: empty checkpoint with no window metadata")
-        entries = {}
-        for key, versions in raw.items():
-            if len(versions) != 1:
-                raise StoreError(f"{path}: checkpoint entries must be single-version")
-            entries[key] = versions[0][2]
-        ck = cls(entries, window)
-        ck.path = path
-        return ck
+        file_window, keys, flags, bases, deltas = codec.read_map_file(path)
+        return cls._packed(window or file_window, keys, flags, bases, deltas, path=path)
+
+
+def _columns(items: Iterable[tuple[str, Effect]]
+             ) -> tuple[list[str], bytearray, array, array]:
+    """Checkpoint columns of (key, effect) pairs given in ascending key order."""
+    keys: list[str] = []
+    flags = bytearray()
+    bases = array("q")
+    deltas = array("q")
+    for key, eff in items:
+        keys.append(key)
+        flags.append(eff.base is not None)
+        bases.append(eff.base or 0)
+        deltas.append(eff.delta)
+    return keys, flags, bases, deltas
 
 
 def make_checkpoint(src: Store, window: Window) -> Checkpoint:
@@ -266,9 +338,7 @@ def make_checkpoint(src: Store, window: Window) -> Checkpoint:
     sealed = getattr(src, "sealed", True)
     if not sealed:
         raise StoreError("cannot checkpoint an unsealed store")
-    entries: dict[str, Effect] = {}
-    for key in sorted(src.written_keys()):
-        eff = src.lookup(key, window.hi)
-        if eff is not None:
-            entries[key] = eff
-    return Checkpoint(entries, window)
+    hi = window.hi
+    consolidated = ((key, src.lookup(key, hi)) for key in sorted(src.written_keys()))
+    return Checkpoint._packed(
+        window, *_columns((k, e) for k, e in consolidated if e is not None))

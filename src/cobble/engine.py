@@ -21,12 +21,13 @@ import threading
 from dataclasses import dataclass
 from enum import IntEnum
 
-from . import effects, faults
+from . import codec, effects, faults
 from .composition import Checkpoint, WALMemtablePair, make_checkpoint, rebuild_wmp
 from .effects import Effect, apply
 from .memory import MapStore
 from .persistent import CommitLog, PersistentJournal
 from .store import (
+    IntegrityError,
     RecordKind,
     StaleSnapshotError,
     Store,
@@ -298,7 +299,7 @@ class LevelledStore(Store):
             if not wmp.window.intersects_prefix(read_st):
                 continue
             probes[LIVE_LEVEL] += 1
-            eff = wmp.lookup(key, read_st)
+            eff = wmp.memtable.probe(key, read_st)  # the key was checked above
             if eff is not None:
                 found.append(eff)
                 if eff.base is not None:
@@ -312,7 +313,7 @@ class LevelledStore(Store):
                     if lvl >= 1 and not ck.covers_key(key):
                         continue
                     probes[lvl] += 1
-                    eff = ck.lookup(key, read_st)
+                    eff = ck.probe(key, read_st)
                     if eff is not None:
                         found.append(eff)
                         if eff.base is not None:
@@ -391,7 +392,7 @@ class LevelledStore(Store):
         window = wmp.window
         entries_list: list[ManifestEntry] = []
         ck = make_checkpoint(wmp, window)
-        if ck.entries:
+        if len(ck):
             rel = ckpt_name(0, window, self._fid)
             self._fid += 1
             ck.persist(self._abs(rel), fire_point="during-checkpoint-serialize")
@@ -402,10 +403,10 @@ class LevelledStore(Store):
             ManifestAction.REMOVE, LIVE_LEVEL, wmp._wal_rel, window))
         self._manifest_commit_locked(entries_list)
         live, levels = self._layout
-        if ck.entries:
+        if len(ck):
             levels = (levels[0] + (ck,),) + levels[1:]
         self._layout = (live[1:], levels)
-        if ck.entries and window.hi > self._horizon:
+        if len(ck) and window.hi > self._horizon:
             self._horizon = window.hi
         self.stats["live_checkpoints"] += 1
         wmp.wal.close()
@@ -441,27 +442,24 @@ class LevelledStore(Store):
         next_row: list[Checkpoint] = list(levels[level + 1])
         replaced: dict[int, Checkpoint] = {}  # index in next_row -> original
         for src in sources:
-            residual: dict[str, Effect] = {}
-            touched: dict[int, dict[str, Effect]] = {}
-            for key, eff in src.entries.items():
+            residual: list[str] = []
+            touched: dict[int, list[str]] = {}
+            for key in src:
                 for i, target in enumerate(next_row):
-                    if key in target.entries:
-                        touched.setdefault(i, {})[key] = eff
+                    if key in target:
+                        touched.setdefault(i, []).append(key)
                         break
                 else:
-                    residual[key] = eff
-            for i, updates in touched.items():
+                    residual.append(key)
+            for i, keys in touched.items():
                 target = next_row[i]
-                merged = dict(target.entries)
-                for key, eff in updates.items():
-                    merged[key] = apply(merged[key], eff)
                 window = Window(min(target.window.lo, src.window.lo),
                                 max(target.window.hi, src.window.hi))
                 if i not in replaced:
                     replaced[i] = target
-                next_row[i] = Checkpoint(merged, window)
+                next_row[i] = target.fold(src, keys, window)
             if residual:
-                next_row.append(Checkpoint(residual, src.window))
+                next_row.append(src.subset(residual))
         self.stats["level_merges"] += 1
 
         adds: list[ManifestEntry] = []
@@ -518,6 +516,7 @@ class LevelledStore(Store):
                     [(c.path, (c.window.lo, c.window.hi), c.key_range) for c in row]
                     for row in levels
                 ],
+                "entries": [[len(c) for c in row] for row in levels],
                 "horizon": self._horizon,
                 "last_ct": self._last_ct,
             }
@@ -579,6 +578,23 @@ def replay_manifest(manifest: PersistentJournal) -> tuple[dict[str, ManifestEntr
     return live, levels, max_fid + 1, max_mseq + 1, max_ts
 
 
+def _recover_manifest(path: str) -> PersistentJournal:
+    """PersistentJournal.recover, except that a bad frame with a whole valid
+    frame after it raises IntegrityError and leaves the file as it is.
+
+    Edits are written and fsynced one batch at a time, so a crash can tear
+    only the tail; cutting the log at a bad frame in the middle would drop
+    every later edit for good.
+    """
+    with open(path, "rb") as f:
+        data = f.read()
+    _, valid_end = codec.scan_frames(data)
+    if valid_end < len(data) and codec.frame_after(data, valid_end):
+        raise IntegrityError(
+            f"{path}: bad frame at byte {valid_end} with valid frames after it")
+    return PersistentJournal.recover(path)
+
+
 def recover_engine(directory: str, config: EngineConfig | None = None
                    ) -> tuple[LevelledStore, int]:
     """Rebuild an engine from its directory.
@@ -591,7 +607,7 @@ def recover_engine(directory: str, config: EngineConfig | None = None
     mpath = os.path.join(directory, MANIFEST_NAME)
     if not os.path.exists(mpath):
         raise StoreError(f"no engine manifest in {directory}")
-    manifest = PersistentJournal.recover(mpath)
+    manifest = _recover_manifest(mpath)
     faults.fire("during-recovery-step-0", path=mpath)
 
     live_refs, level_refs, fid, mseq, max_manifest_ts = replay_manifest(manifest)
@@ -606,7 +622,11 @@ def recover_engine(directory: str, config: EngineConfig | None = None
     levels: list[list[Checkpoint]] = [[] for _ in range(config.max_levels)]
     for lvl in range(min(len(level_refs), config.max_levels)):
         for entry in level_refs[lvl].values():
-            ck = Checkpoint.load(os.path.join(directory, entry.path), entry.window)
+            try:
+                ck = Checkpoint.load(os.path.join(directory, entry.path), entry.window)
+            except FileNotFoundError as exc:
+                raise IntegrityError(
+                    f"{mpath} references missing checkpoint {entry.path}") from exc
             ck.path = entry.path
             levels[lvl].append(ck)
             if ck.window.hi - 1 > highest:
@@ -637,7 +657,7 @@ def recover_engine(directory: str, config: EngineConfig | None = None
         window = wmp.seal()
         if wmp.committed_effects > 0 and window.hi > window.lo:
             ck = make_checkpoint(wmp, window)
-            if ck.entries:
+            if len(ck):
                 rel = ckpt_name(0, window, fid)
                 fid += 1
                 ck.persist(os.path.join(directory, rel))

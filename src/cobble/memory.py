@@ -233,6 +233,10 @@ class MapStore(TxnLifecycleMixin, Store):
     def lookup(self, key: str, read_st: int,
                txn: TransactionDescriptor | None = None) -> Effect | None:
         check_key(key)
+        return self.probe(key, read_st)
+
+    def probe(self, key: str, read_st: int) -> Effect | None:
+        """lookup without the key check, for a caller that made it already."""
         # Scan newest to oldest from the bisect point, cutting once a completed
         # group carries an assignment: anything older is absorbed by it. The
         # scan holds the lock because a concurrent insort below the bisect
@@ -271,11 +275,6 @@ class MapStore(TxnLifecycleMixin, Store):
         with self._lock:
             return set(self._per_key)
 
-    def last_committed_ct(self) -> int | None:
-        with self._lock:
-            cts = [vs[-1][0] for vs in self._per_key.values() if vs]
-            return max(cts) if cts else None
-
     def seal(self, window: Window) -> None:
         with self._lock:
             self._sealed = True
@@ -284,29 +283,3 @@ class MapStore(TxnLifecycleMixin, Store):
     @property
     def sealed(self) -> bool:
         return self._sealed
-
-    def persist(self, path: str) -> None:
-        from . import codec
-
-        if not self._sealed:
-            raise StoreError("persist of an unsealed map")
-        window = self.window
-        if window is None or window.hi is None:
-            last = self.last_committed_ct()
-            window = Window(0, (last + 1) if last is not None else 0)
-        with self._lock:
-            entries = {k: [(ct, st, eff) for ct, st, _tid, eff in vs]
-                       for k, vs in self._per_key.items()}
-        codec.write_map_file(path, window, entries)
-
-    @classmethod
-    def recover(cls, path: str) -> "MapStore":
-        from . import codec
-
-        window, entries = codec.read_map_file(path)
-        store = cls()
-        for key, versions in entries.items():
-            store._per_key[key] = [(ct, st, "", eff) for ct, st, eff in versions]
-        store._sealed = True
-        store.window = window
-        return store

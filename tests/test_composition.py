@@ -251,6 +251,21 @@ class TestCheckpoint:
             ck.lookup("k", 4)
         assert ck.lookup("k", 5) == Effect(1, 0)
 
+    def test_probe_skips_the_key_check_and_lookup_keeps_it(self):
+        ck = Checkpoint({"k": Effect(1, 0)}, Window(0, 5))
+        with pytest.raises(StoreError):
+            ck.lookup("", 5)
+        assert ck.probe("", 5) is None
+        assert ck.probe("k", 5) == Effect(1, 0)
+        with pytest.raises(WindowError):
+            ck.probe("k", 4)
+        src = MapStore()
+        commit(src, "A", st=0, ct=1, updates=[("k", Effect.incr(2))])
+        with pytest.raises(StoreError):
+            src.lookup("", 2)
+        assert src.probe("", 2) is None
+        assert src.probe("k", 2) == Effect(None, 2)
+
     def test_read_only(self):
         ck = Checkpoint({}, Window(0, 1))
         with pytest.raises(StoreError):

@@ -1,14 +1,19 @@
 """Levelled engine: lookup path, rotation, compaction, MANIFEST, recovery."""
 
 import os
+import random
 import shutil
 import sys
 import threading
 
 import pytest
 
+import cobble.composition
+import cobble.engine
+import cobble.memory
 from cobble import faults
-from cobble.effects import Effect
+from cobble.composition import Checkpoint
+from cobble.effects import Effect, apply
 from cobble.engine import (
     EngineConfig,
     LevelledStore,
@@ -24,6 +29,7 @@ from cobble.faults import CrashProcess, FaultPlan, InjectedCrash
 from cobble.oracle import generate_trace, replay, valuation_effect
 from cobble.persistent import PersistentJournal
 from cobble.store import (
+    IntegrityError,
     StaleSnapshotError,
     StoreError,
     TransactionDescriptor,
@@ -200,6 +206,32 @@ class TestLookupPath:
         engine.close()
 
 
+    def test_key_checked_once_per_lookup(self, tmp_path, monkeypatch):
+        d = str(tmp_path / "db")
+        trace = build_engine_dir(d, compact_every=12)
+        engine, _ = recover_engine(d, small_config())
+        run_txn(engine, "late", engine.last_committed_ct, engine.last_committed_ct + 1,
+                [(k, Effect.incr(1)) for k in trace.keys()])
+        calls = []
+        real = cobble.engine.check_key
+
+        def counting(key):
+            calls.append(key)
+            real(key)
+
+        for module in (cobble.engine, cobble.memory, cobble.composition):
+            monkeypatch.setattr(module, "check_key", counting)
+        engine.reset_probes()
+        keys = sorted(trace.keys())
+        for key in keys:
+            engine.lookup(key, engine.last_committed_ct + 1)
+        assert calls == keys
+        assert engine.probe_total() > len(keys)  # inner stores were probed
+        with pytest.raises(StoreError):
+            engine.lookup("", engine.last_committed_ct + 1)
+        engine.close()
+
+
 class TestRotation:
     def test_rotation_threshold_and_tiling(self, tmp_path):
         engine = LevelledStore.create(
@@ -367,6 +399,107 @@ class TestCompaction:
         engine.close()
 
 
+def _dict_merge(targets, sources):
+    """The level merge on plain dicts: each key of each source (oldest source
+    first) folds into the first target holding it, else into one new
+    residual per source. Untouched targets keep their place; rebuilt and new
+    ones follow, in row order."""
+    row = [(dict(e), w, False) for e, w in targets]
+    for entries, window in sources:
+        residual, touched = {}, {}
+        for key in sorted(entries):
+            for i, (t, _, _) in enumerate(row):
+                if key in t:
+                    touched.setdefault(i, []).append(key)
+                    break
+            else:
+                residual[key] = entries[key]
+        for i, keys in touched.items():
+            t, w, _ = row[i]
+            t = dict(t)
+            for key in keys:
+                t[key] = apply(t[key], entries[key])
+            row[i] = (t, Window(min(w.lo, window.lo), max(w.hi, window.hi)), True)
+        if residual:
+            row.append((residual, window, True))
+    return [(e, w) for e, w, f in row if not f] + [(e, w) for e, w, f in row if f]
+
+
+class TestPackedMerge:
+    POOL = [f"k{i:02d}" for i in range(40)] + ["\u00e9", "\uffff", "\U00010000", "z\U0010ffff"]
+
+    @staticmethod
+    def _effect(rng) -> Effect:
+        edge = [-(1 << 63), (1 << 63) - 1, -1, 0]
+        v = rng.choice(edge) if rng.random() < 0.2 else rng.randint(-50, 50)
+        return Effect.assign(v) if rng.random() < 0.4 else Effect.incr(v)
+
+    def test_level_merge_matches_dict_fold(self, tmp_path):
+        for seed in range(25):
+            rng = random.Random(seed)
+            d = str(tmp_path / f"db{seed}")
+            cfg = small_config(level_capacities=(1 << 30, 1 << 30, 1 << 30))
+            engine = LevelledStore.create(d, cfg)
+            free = list(self.POOL)
+            rng.shuffle(free)
+            targets = []
+            for i in range(rng.randint(0, 3)):  # disjoint, as at any level >= 1
+                keys, free = free[:rng.randint(1, 12)], free[12:]
+                targets.append(({k: self._effect(rng) for k in keys}, Window(10 * i, 10 * i + 10)))
+            sources = [({k: self._effect(rng) for k in rng.sample(self.POOL, rng.randint(1, 20))},
+                        Window(100 + 10 * i, 110 + 10 * i)) for i in range(rng.randint(1, 3))]
+
+            adds = []
+            cks = {0: [], 1: []}
+            for level, group in ((1, targets), (0, sources)):
+                for j, (entries, window) in enumerate(group):
+                    ck = Checkpoint(entries, window)
+                    ck.path = f"ckpt-{level}-{window.lo}-{window.hi}-{900 + 10 * level + j}.cb"
+                    ck.persist(os.path.join(d, ck.path))
+                    cks[level].append(ck)
+                    adds.append(ManifestEntry(ManifestAction.ADD, level, ck.path, window,
+                                              ck.key_range if level else None))
+            with engine._mutex:
+                engine._manifest_commit_locked(adds)
+                live, levels = engine._layout
+                engine._layout = (live, (tuple(cks[0]), tuple(cks[1])) + levels[2:])
+                engine._merge_down_locked(0, cks[0])
+
+            want_row = _dict_merge(targets, sources)
+            got_row = [(ck.entries, ck.window) for ck in engine._layout[1][1]]
+            assert got_row == want_row, seed
+            assert engine._layout[1][0] == ()
+
+            top = max(w.hi for _, w in sources)
+            want = {}
+            for entries, _ in targets + sources:  # oldest first
+                for key, eff in entries.items():
+                    want[key] = eff if key not in want else apply(want[key], eff)
+            for key in self.POOL:
+                assert engine.lookup(key, top) == want.get(key), (seed, key)
+            engine.close()
+            back, _ = recover_engine(d, cfg)
+            for key in self.POOL:
+                assert back.lookup(key, top) == want.get(key), (seed, key)
+            back.close()
+
+    def test_random_traces_through_many_merges_match_oracle(self, tmp_path):
+        for seed in range(4):
+            d = str(tmp_path / f"db{seed}")
+            cfg = small_config(live_capacity=1, wmp_rotate_effects=3,
+                               level_capacities=(1, 2, 1 << 30))
+            engine = LevelledStore.create(d, cfg)
+            trace = generate_trace(seed=seed, txn_count=80, max_concurrency=1,
+                                   eager_notify=True)
+            replay(engine, trace)
+            assert engine.stats["level_merges"] > 5
+            check_against_oracle(engine, trace)
+            engine.close()
+            back, _ = recover_engine(d, cfg)
+            check_against_oracle(back, trace)
+            back.close()
+
+
 class TestManifest:
     def test_entry_codec_round_trip(self):
         cases = [
@@ -469,6 +602,56 @@ class TestRecovery:
         assert h2 == h1
         assert layout2["levels"] == layout1["levels"]
         assert layout2["horizon"] == layout1["horizon"]
+
+    def test_corrupt_manifest_middle_frame_raises_and_keeps_file(self, tmp_path):
+        d = str(tmp_path / "db")
+        cfg = EngineConfig(live_capacity=2, wmp_rotate_effects=8)
+        engine, _ = open_engine(d, cfg)
+        for i in range(200):
+            run_txn(engine, f"t{i}", i, i + 1, [(f"k{i % 13}", Effect.incr(1))])
+        engine.close()
+        mpath = os.path.join(d, "MANIFEST")
+        with open(mpath, "rb") as f:
+            good = f.read()
+        faults.corrupt_file(mpath, len(good) // 3, 1)
+        with open(mpath, "rb") as f:
+            bad = f.read()
+        for _ in range(2):
+            with pytest.raises(IntegrityError):
+                open_engine(d, cfg)
+            with open(mpath, "rb") as f:
+                assert f.read() == bad
+        with open(mpath, "wb") as f:
+            f.write(good)
+        engine, floor = open_engine(d, cfg)
+        assert floor >= 200
+        for k in range(13):
+            assert effect_at(engine, f"k{k}", floor + 1) == (None, len(range(k, 200, 13)))
+        engine.close()
+
+    def test_torn_manifest_tail_is_cut(self, tmp_path):
+        d = str(tmp_path / "db")
+        build_engine_dir(d, compact_every=12)
+        mpath = os.path.join(d, "MANIFEST")
+        with open(mpath, "rb") as f:
+            whole = f.read()
+        with open(mpath, "ab") as f:
+            f.write(b"CBLE\x40\x00\x00\x00torn")
+        engine, _ = recover_engine(d, small_config())
+        engine.close()
+        with open(mpath, "rb") as f:
+            data = f.read()
+        assert data.startswith(whole) and b"torn" not in data[len(whole):]
+
+    def test_missing_checkpoint_raises_integrity_error(self, tmp_path):
+        d = str(tmp_path / "db")
+        build_engine_dir(d, compact_every=12)
+        engine, _ = recover_engine(d, small_config())
+        victim = next(path for row in engine.layout()["levels"] for path, _, _ in row)
+        engine.close()
+        os.remove(os.path.join(d, victim))
+        with pytest.raises(IntegrityError, match=victim):
+            recover_engine(d, small_config())
 
     def test_crash_before_rotation_manifest_keeps_data(self, tmp_path):
         d = str(tmp_path / "db")

@@ -3,11 +3,13 @@ recovery."""
 
 import os
 import random
+import struct
+import zlib
 
 import pytest
 
 from cobble import codec, faults
-from cobble.composition import rebuild_wmp
+from cobble.composition import Checkpoint, make_checkpoint, rebuild_wmp
 from cobble.effects import Effect
 from cobble.faults import CorruptBytes, FailFlush, FaultPlan, TruncateAt
 from cobble.memory import JournalStore, MapStore
@@ -373,43 +375,149 @@ class TestCommitLog:
             CommitLog.recover(str(tmp_path / "nope.log"))
 
 
+def _ck_path(tmp_path, entries, window=Window(0, 2), name="m.cb") -> str:
+    path = str(tmp_path / name)
+    Checkpoint(entries, window).persist(path)
+    return path
+
+
+def _sealed_map(body: bytes) -> bytes:
+    """A map file around body, with a valid CRC."""
+    return codec.MAP_MAGIC + body + struct.pack("<I", zlib.crc32(body))
+
+
+_I64_EDGES = [-(1 << 63), (1 << 63) - 1, -1, 0, 1]
+_UTF8_EDGES = [0x01, 0x7F, 0x80, 0x7FF, 0x800, 0xD7FF, 0xE000, 0xFFFF,
+               0x10000, 0x10FFFF]
+
+
+def _random_key(rng) -> str:
+    def code_point():
+        if rng.random() < 0.3:
+            return rng.choice(_UTF8_EDGES)
+        cp = rng.randint(0x80, 0xFFFF) if rng.random() < 0.5 else rng.randint(0x10000, 0x10FFFF)
+        return 0xE000 if 0xD800 <= cp <= 0xDFFF else cp
+
+    return "".join(chr(code_point()) for _ in range(rng.randint(1, 4)))
+
+
+def _random_effect(rng) -> Effect:
+    def i64():
+        return rng.choice(_I64_EDGES) if rng.random() < 0.3 else rng.randint(-(1 << 63), (1 << 63) - 1)
+
+    return Effect(i64() if rng.random() < 0.5 else None, i64())
+
+
 class TestMapFile:
+    """The packed checkpoint file, through Checkpoint.persist / load."""
+
     def test_truncated_map_file_raises_integrity_error(self, tmp_path):
-        store = MapStore()
-        commit(store, "a", st=0, ct=1, updates=[("k", Effect.assign(1))])
-        store.seal(Window(0, 2))
-        path = str(tmp_path / "m.cb")
-        store.persist(path)
+        path = _ck_path(tmp_path, {"k": Effect.assign(1)})
         faults.truncate_file(path, -2)
         with pytest.raises(IntegrityError):
-            MapStore.recover(path)
+            Checkpoint.load(path)
 
     def test_corrupt_map_file_raises_integrity_error(self, tmp_path):
-        store = MapStore()
-        commit(store, "a", st=0, ct=1, updates=[("k", Effect.assign(1))])
-        store.seal(Window(0, 2))
-        path = str(tmp_path / "m.cb")
-        store.persist(path)
-        faults.corrupt_file(path, os.path.getsize(path) // 2, 1)
-        with pytest.raises(IntegrityError):
-            MapStore.recover(path)
+        path = _ck_path(tmp_path, {"k": Effect.assign(1), "j": Effect.incr(2)})
+        for off in range(os.path.getsize(path)):
+            with open(path, "rb") as f:
+                good = f.read()
+            faults.corrupt_file(path, off, 1)
+            with pytest.raises(IntegrityError):
+                Checkpoint.load(path)
+            with open(path, "wb") as f:
+                f.write(good)
 
     def test_empty_map_round_trips(self, tmp_path):
-        store = MapStore()
-        store.seal(Window(0, 1))
-        path = str(tmp_path / "m.cb")
-        store.persist(path)
-        back = MapStore.recover(path)
+        path = _ck_path(tmp_path, {}, Window(3, 7))
+        back = Checkpoint.load(path)
+        assert len(back) == 0 and back.entries == {} and back.key_range is None
+        assert back.window == Window(3, 7)
         assert back.lookup("anything", 100) is None
+        assert os.path.getsize(path) == len(codec.MAP_MAGIC) + 24 + 4
 
     def test_random_sealed_maps_round_trip(self, tmp_path):
         for seed in range(4):
             trace = generate_trace(seed=seed, txn_count=25)
             store = replay(MapStore(), trace)
-            store.seal(Window(0, trace.max_ct() + 1))
+            hi = trace.max_ct() + 1
+            store.seal(Window(0, hi))
             path = str(tmp_path / f"m{seed}.cb")
-            store.persist(path)
-            back = MapStore.recover(path)
-            for rs in range(trace.max_ct() + 2):
+            make_checkpoint(store, Window(0, hi)).persist(path)
+            back = Checkpoint.load(path)
+            for rs in (hi, hi + 1, hi + 9):
                 for key in trace.keys():
                     assert eff_tuple(back, key, rs) == eff_tuple(store, key, rs)
+
+    def test_random_keys_and_effects_round_trip(self, tmp_path):
+        rng = random.Random(11)
+        for i in range(60):
+            entries = {_random_key(rng): _random_effect(rng)
+                       for _ in range(rng.randint(1, 40))}
+            path = _ck_path(tmp_path, entries, Window(i, i + 5), name=f"r{i}.cb")
+            back = Checkpoint.load(path)
+            assert back.entries == entries
+            assert back.window == Window(i, i + 5)
+            by_bytes = sorted(k.encode("utf-8") for k in entries)
+            assert list(back) == [k.decode("utf-8") for k in by_bytes]
+            for key, eff in entries.items():
+                assert back.lookup(key, i + 5) == eff
+
+    def test_i64_extremes_with_and_without_base(self, tmp_path):
+        entries = {}
+        for b in _I64_EDGES:
+            for d in _I64_EDGES:
+                entries[f"b{b}d{d}"] = Effect(b, d)
+                entries[f"n{d}"] = Effect(None, d)
+        back = Checkpoint.load(_ck_path(tmp_path, entries))
+        assert back.entries == entries
+        assert back.lookup("n0", 2) == Effect(None, 0)
+        assert back.lookup("b0d0", 2) == Effect(0, 0)
+
+    def test_pinned_little_endian_bytes(self, tmp_path):
+        path = _ck_path(tmp_path, {"b": Effect(None, -2), "a": Effect(1, (1 << 63) - 1)},
+                        Window(5, 9))
+        with open(path, "rb") as f:
+            data = f.read()
+        assert data == bytes.fromhex(
+            "43424c4d41503032"                   # magic CBLMAP02
+            "0500000000000000" "0900000000000000"  # window lo, hi
+            "02000000" "03000000"                # entry count, key blob bytes
+            "61" "00" "62"                       # "a" NUL "b"
+            "01" "00"                            # has-base flags
+            "0100000000000000" "0000000000000000"  # bases
+            "ffffffffffffff7f" "feffffffffffffff"  # deltas
+            "fc603948")                          # CRC-32 of all after the magic
+
+    def test_malformed_but_checksummed_files_raise(self, tmp_path):
+        path = str(tmp_path / "bad.cb")
+
+        def body(keys: bytes, n: int, flags: bytes, extra: bytes = b"") -> bytes:
+            cols = flags + b"\x00" * 16 * n
+            return struct.pack("<QQII", 0, 2, n, len(keys)) + keys + cols + extra
+
+        cases = {
+            "descending": body(b"b\x00a", 2, b"\x00\x00"),
+            "duplicate": body(b"a\x00a", 2, b"\x00\x00"),
+            "empty key": body(b"\x00a", 2, b"\x00\x00"),
+            "count vs keys": body(b"a\x00b", 3, b"\x00\x00\x00"),
+            "trailing bytes": body(b"a\x00b", 2, b"\x00\x00", b"\x00"),
+            "short column": body(b"a\x00b", 2, b"\x00\x00")[:-1],
+            "bad flag": body(b"a\x00b", 2, b"\x00\x02"),
+            "bad utf-8": body(b"a\x00\xff", 2, b"\x00\x00"),
+        }
+        for what, b in cases.items():
+            with open(path, "wb") as f:
+                f.write(_sealed_map(b))
+            try:
+                Checkpoint.load(path)
+            except IntegrityError:
+                continue
+            pytest.fail(f"{what}: loaded without an IntegrityError")
+        with open(path, "wb") as f:  # the multi-version layout this replaced
+            f.write(b"CBLMAP01" + _sealed_map(body(b"a", 1, b"\x00"))[8:])
+        with pytest.raises(IntegrityError):
+            Checkpoint.load(path)
+        with open(path, "wb") as f:
+            f.write(_sealed_map(body(b"a\x00b", 2, b"\x01\x00")))
+        assert Checkpoint.load(path).entries == {"a": Effect(0, 0), "b": Effect(None, 0)}

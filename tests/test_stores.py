@@ -307,22 +307,3 @@ class TestOracleAgreement:
         inter.do_commit(tb)
         for rs in range(4):
             assert eff_tuple(serial, "k", rs) == eff_tuple(inter, "k", rs)
-
-
-class TestMapPersistence:
-    def test_round_trip_preserves_lookups(self, tmp_path):
-        store = MapStore()
-        commit(store, "A", st=0, ct=1, updates=[("k", Effect.assign(2))])
-        commit(store, "B", st=1, ct=2, updates=[("k", Effect.incr(1)),
-                                                ("j", Effect.incr(7))])
-        store.seal(Window(0, 3))
-        path = str(tmp_path / "snap.cb")
-        store.persist(path)
-        back = MapStore.recover(path)
-        for rs in range(4):
-            for key in ("k", "j", "missing"):
-                assert eff_tuple(back, key, rs) == eff_tuple(store, key, rs)
-
-    def test_recover_missing_path_errors(self, tmp_path):
-        with pytest.raises(OSError):
-            MapStore.recover(str(tmp_path / "absent.cb"))

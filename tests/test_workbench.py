@@ -17,10 +17,11 @@ from cobble.bench import (
     write_csv,
 )
 from cobble.cli import build_parser, main, verify_seed
+from cobble.effects import Effect
 from cobble.engine import EngineConfig, LevelledStore
 from cobble.memory import MapStore
 from cobble.server import LineProtocolServer, handle_line
-from cobble.store import TransactionError
+from cobble.store import TransactionDescriptor, TransactionError
 from cobble.transactions import TransactionManager
 from cobble.workload import (
     MIXES,
@@ -357,6 +358,33 @@ class TestCli:
         assert main(["recover", "--dir", d]) == 0
         out = capsys.readouterr().out
         assert "recovered" in out and "live" in out
+
+    def test_recover_command_reports_checkpoint_sizes(self, tmp_path, capsys):
+        d = str(tmp_path / "db")
+        engine = LevelledStore.create(d, EngineConfig(live_capacity=1, wmp_rotate_effects=2))
+        for i in range(6):
+            txn = TransactionDescriptor(f"t{i}", st=i)
+            engine.do_begin(txn)
+            for key in (f"a{i}", f"b{i}"):
+                txn.effect_buffer[key] = Effect.incr(1)
+                engine.do_update(txn, key, Effect.incr(1))
+            txn.ct = i + 1
+            engine.do_commit(txn)
+        engine.close()
+        assert main(["recover", "--dir", d]) == 0
+        out = capsys.readouterr().out
+        rows = [line.split() for line in out.splitlines() if line.startswith("  L")]
+        entries_seen = 0
+        for level in {r[0] for r in rows if r[0] != "live"}:
+            files = [r for r in rows if r[0] == level and r[1] != "total"]
+            sizes = [os.path.getsize(os.path.join(d, r[1])) for r in files]
+            counts = [int(r[r.index("entries") - 1]) for r in files]
+            assert [int(r[r.index("B") - 1]) for r in files] == sizes
+            total = next(r for r in rows if r[0] == level and r[1] == "total")
+            assert total[2:] == [str(len(files)), "checkpoints", str(sum(counts)),
+                                 "entries", str(sum(sizes)), "B"]
+            entries_seen += sum(counts)
+        assert entries_seen == 12  # twelve distinct keys, each in one checkpoint
 
     def test_recover_command_fails_cleanly(self, tmp_path, capsys):
         assert main(["recover", "--dir", str(tmp_path / "empty")]) == 1

@@ -38,6 +38,13 @@ MAP_MAGIC = b"CBLMAP02"
 COMMIT_TAG = b"C"
 _FRAME_HEADER = len(FRAME_MAGIC) + 4
 _MAP_HEADER = struct.Struct("<QQII")  # window lo, window hi, entry count, key blob bytes
+_COMMIT_HEAD = struct.Struct("<QQI")  # st, ct, write count
+_u16 = struct.Struct("<H").unpack_from
+_i64 = struct.Struct("<q").unpack_from
+_i64x2 = struct.Struct("<qq").unpack_from
+
+# one logged write: (key, base or None, delta), both i64
+Write = tuple[str, int | None, int]
 
 
 def encode_record(rec: JournalRecord) -> bytes:
@@ -102,24 +109,32 @@ def encode_commit(st: int, ct: int, writes: dict[str, Effect]) -> bytes:
     return bytes(out)
 
 
-def decode_commit(payload: bytes) -> tuple[int, int, dict[str, Effect]]:
-    """(st, ct, folded writes) of a commit payload; IntegrityError if malformed."""
+def decode_commit(payload: bytes) -> tuple[int, int, list[Write]]:
+    """(st, ct, writes) of a commit payload, each write a flat (key, base or
+    None, delta) in logged order; IntegrityError if malformed."""
     try:
         if payload[:1] != COMMIT_TAG:
             raise ValueError("not a commit payload")
-        st, ct, count = struct.unpack_from("<QQI", payload, 1)
-        off = 1 + 20
-        writes: dict[str, Effect] = {}
+        st, ct, count = _COMMIT_HEAD.unpack_from(payload, 1)
+        off = 1 + _COMMIT_HEAD.size
+        n = len(payload)
+        writes: list[Write] = []
         for _ in range(count):
-            (klen,) = struct.unpack_from("<H", payload, off)
-            off += 2
-            kb = payload[off:off + klen]
-            if len(kb) != klen:
+            end = off + 2 + _u16(payload, off)[0]
+            if end > n:
                 raise ValueError("short key")
-            off += klen
-            key = kb.decode("utf-8")
-            writes[key], off = decode_effect(payload, off)
-        if off != len(payload):
+            tag = payload[end]
+            if tag == 0:
+                writes.append((payload[off + 2:end].decode("utf-8"), None,
+                               _i64(payload, end + 1)[0]))
+                off = end + 9
+            elif tag == 1:
+                base, delta = _i64x2(payload, end + 1)
+                writes.append((payload[off + 2:end].decode("utf-8"), base, delta))
+                off = end + 17
+            else:
+                raise ValueError(f"bad effect tag {tag:#x}")
+        if off != n:
             raise ValueError("trailing bytes in commit payload")
         return st, ct, writes
     except (IndexError, struct.error, UnicodeDecodeError, ValueError) as exc:
@@ -179,20 +194,6 @@ def scan_records(data: bytes) -> tuple[list[JournalRecord], int]:
             return records, valid_end
         valid_end += _FRAME_HEADER + len(payload) + 4
     return records, valid_end
-
-
-def write_journal_file(path: str, records: list[JournalRecord]) -> None:
-    with open(path, "wb") as f:
-        for rec in records:
-            f.write(encode_frame(encode_record(rec)))
-        f.flush()
-        os.fsync(f.fileno())
-
-
-def read_journal_file(path: str) -> tuple[list[JournalRecord], int]:
-    with open(path, "rb") as f:
-        data = f.read()
-    return scan_records(data)
 
 
 # --- map / checkpoint files --------------------------------------------------

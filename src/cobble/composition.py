@@ -11,10 +11,11 @@ from __future__ import annotations
 from array import array
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .effects import Effect, effect_from_i64, wrap_i64
 from .memory import MapStore
-from .persistent import CommitLog, PersistentJournal
+from .persistent import Commit, CommitLog, PersistentJournal
 from .store import (
     Store,
     StoreError,
@@ -26,7 +27,8 @@ from .store import (
 
 READ_PRIORITY_MAP = 0
 READ_PRIORITY_WAL = 1
-READ_PRIORITY_CHECKPOINT = 0
+
+_ct = itemgetter(1)
 
 
 @dataclass
@@ -96,11 +98,11 @@ class ComposedStore(Store):
 class WALMemtablePair(Store):
     """Durable log plus a fast map over the same window.
 
-    The log only has to rebuild the memtable's committed state after a
-    crash; reads come from the memtable alone. A commit reaches the log
-    first (acknowledged after fsync), then the memtable. The engine's log is
-    a CommitLog, which writes nothing before commit; any log with the store
-    write protocol fits, a PersistentJournal included.
+    The log is read only after a crash, when recovery folds it straight
+    into a checkpoint; reads come from the memtable alone. A commit reaches
+    the log first (acknowledged after fsync), then the memtable. The
+    engine's log is a CommitLog, which writes nothing before commit; any log
+    with the store write protocol fits, a PersistentJournal included.
     """
 
     def __init__(self, wal: CommitLog | PersistentJournal, memtable: MapStore,
@@ -168,15 +170,17 @@ class WALMemtablePair(Store):
 
 
 def rebuild_wmp(wal_path: str, lo: int) -> WALMemtablePair:
-    """Reconstruct a live pair from its commit log after a crash.
+    """Reconstruct a live pair from its commit log, memtable included.
 
-    The memtable is replayed from the logged commits; a transaction the
+    Recovery folds the logs with fold_commits and never builds a memtable;
+    this is the reference that fold is checked against. A transaction the
     crash left open wrote nothing, so there is nothing to abort.
     """
     wal, commits = CommitLog.recover(wal_path)
     wmp = WALMemtablePair(wal, MapStore(), Window(lo, None))
     for st, ct, writes in commits:
-        wmp.memtable.insert_committed(ct, st, writes)
+        wmp.memtable.insert_committed(
+            ct, st, {key: effect_from_i64(base, delta) for key, base, delta in writes})
         wmp._count_commit(ct, len(writes))
     return wmp
 
@@ -329,6 +333,53 @@ def _columns(items: Iterable[tuple[str, Effect]]
         bases.append(eff.base or 0)
         deltas.append(eff.delta)
     return keys, flags, bases, deltas
+
+
+def fold_commits(commits: Iterable[Commit], window: Window) -> Checkpoint:
+    """The checkpoint at window.hi of logged commits, straight from their
+    flat writes: the same checkpoint as make_checkpoint of a memtable that
+    holds them, with no memtable, Effect or concurrent set built.
+
+    Commits are taken in ct order, whatever order they were logged in. Per
+    key this is memory.consolidate_forward: a version starts a new group
+    when its st is at or above the previous version's ct; within a group
+    the max-ct assignment wins and every base-less increment adds on top;
+    groups compose oldest first. The fold keeps, per key, the value so far
+    ([last ct, the open group's increments, base or None, delta]): an
+    increment adds to the delta, an assignment makes the value itself plus
+    the group's earlier increments. Sums wrap to i64 once, at the end.
+    """
+    if window.hi is None:
+        raise StoreError("cannot checkpoint an open window")
+    state: dict[str, list] = {}
+    get = state.get
+    for st, ct, writes in sorted(commits, key=_ct):
+        for key, base, delta in writes:
+            s = get(key)
+            if s is None:  # a key's first version: its own group
+                state[key] = [ct, 0 if base is not None else delta, base, delta]
+                continue
+            if st >= s[0]:
+                s[1] = 0  # a new group starts
+            if base is None:
+                s[1] += delta
+                s[3] += delta
+            else:
+                s[2] = base
+                s[3] = delta + s[1]
+            s[0] = ct
+    keys = sorted(state)
+    flags = bytearray(len(keys))
+    bases = array("q", bytes(8 * len(keys)))
+    deltas = array("q", bytes(8 * len(keys)))
+    pop = state.pop
+    for i, key in enumerate(keys):
+        _, _, base, delta = pop(key)  # drop each key's state as it closes
+        if base is not None:
+            flags[i] = 1
+            bases[i] = base
+        deltas[i] = wrap_i64(delta)
+    return Checkpoint._packed(window, keys, flags, bases, deltas)
 
 
 def make_checkpoint(src: Store, window: Window) -> Checkpoint:

@@ -6,10 +6,10 @@ Each live pair's log holds one frame per committed transaction and serves
 no reads. Reads walk levels newest to oldest collecting per-slice effects
 until an assignment cuts history, then fold the slices oldest-first.
 Compaction only folds already-consolidated entries; it never merges
-concurrent effects across stores. Recovery replays the MANIFEST, rebuilds
-live pairs from their commit logs, pushes them to level 0, and restarts
-timestamps above every commit timestamp it saw; rerunning it reproduces the
-same visible layout.
+concurrent effects across stores. Recovery replays the MANIFEST, folds every
+live commit log that holds writes straight into one level-0 checkpoint (no
+memtable is rebuilt), and restarts timestamps above every commit timestamp
+it saw; rerunning it reproduces the same visible layout.
 """
 
 from __future__ import annotations
@@ -22,7 +22,10 @@ from dataclasses import dataclass
 from enum import IntEnum
 
 from . import codec, effects, faults
-from .composition import Checkpoint, WALMemtablePair, make_checkpoint, rebuild_wmp
+from .composition import Checkpoint, WALMemtablePair, fold_commits, make_checkpoint
+# recovery no longer calls rebuild_wmp; perfbench/spans.py still wraps it by
+# this name
+from .composition import rebuild_wmp  # noqa: F401
 from .effects import Effect, apply
 from .memory import MapStore
 from .persistent import CommitLog, PersistentJournal
@@ -280,10 +283,6 @@ class LevelledStore(Store):
     @property
     def last_committed_ct(self) -> int:
         return self._last_ct
-
-    def min_active_st(self) -> int | None:
-        with self._mutex:
-            return min(self._active_sts.values(), default=None)
 
     def lookup(self, key: str, read_st: int,
                txn: TransactionDescriptor | None = None) -> Effect | None:
@@ -631,47 +630,49 @@ def recover_engine(directory: str, config: EngineConfig | None = None
             levels[lvl].append(ck)
             if ck.window.hi - 1 > highest:
                 highest = ck.window.hi - 1
-    wmps: list[WALMemtablePair] = []
-    for entry in live_refs.values():
-        wmp = rebuild_wmp(os.path.join(directory, entry.path), entry.window.lo)
-        wmp._wal_rel = entry.path
-        wmps.append(wmp)
-        if wmp.last_ct is not None and wmp.last_ct > highest:
-            highest = wmp.last_ct
+    # read and validate every live log before changing any file
+    live_entries = list(live_refs.values())
+    scans = [CommitLog.scan(os.path.join(directory, e.path)) for e in live_entries]
+    for entry, (commits, cut) in zip(live_entries, scans):
+        if cut is not None:
+            os.truncate(os.path.join(directory, entry.path), cut)
+        highest = max([highest] + [ct for _, ct, _ in commits])
     faults.fire("during-recovery-step-2")
 
-    # An empty trailing pair is kept as the accepting pair instead of being
-    # replaced: its replacement would carry the same name, and deleting the
-    # old file after the swap would unlink the new one out from under us.
+    # A trailing pair with no writes is kept as the accepting pair instead of
+    # being replaced: its replacement would carry the same name, and deleting
+    # the old file after the swap would unlink the new one out from under us.
     adopted: WALMemtablePair | None = None
-    if wmps and wmps[-1].committed_effects == 0:
-        adopted = wmps[-1]
+    if scans and not any(writes for _, _, writes in scans[-1][0]):
+        scans.pop()
+        entry = live_entries.pop()
+        wal, commits = CommitLog.recover(os.path.join(directory, entry.path))
+        adopted = WALMemtablePair(wal, _fresh_map(), Window(entry.window.lo, None))
+        adopted._wal_rel = entry.path
+        for _, ct, _ in commits:
+            adopted._count_commit(ct, 0)
 
-    # push whatever else survived in the live level down to L0
+    # fold every other live log into one L0 checkpoint: each window boundary
+    # is a group boundary (do_begin keeps st >= window.lo - 1), so folding the
+    # logs together equals folding each and applying them oldest first
     entries: list[ManifestEntry] = []
     new_l0: list[Checkpoint] = []
-    pushed: list[WALMemtablePair] = []
-
-    def push_down(wmp: WALMemtablePair) -> None:
-        nonlocal fid
-        window = wmp.seal()
-        if wmp.committed_effects > 0 and window.hi > window.lo:
-            ck = make_checkpoint(wmp, window)
-            if len(ck):
-                rel = ckpt_name(0, window, fid)
-                fid += 1
-                ck.persist(os.path.join(directory, rel))
-                ck.path = rel
-                new_l0.append(ck)
-                entries.append(ManifestEntry(ManifestAction.ADD, 0, rel, window))
-        entries.append(ManifestEntry(ManifestAction.REMOVE, LIVE_LEVEL,
-                                     wmp._wal_rel, wmp.window))
-        wmp.wal.close()
-        pushed.append(wmp)
-
-    for wmp in wmps:
-        if wmp is not adopted:
-            push_down(wmp)
+    commits = [c for log_commits, _ in scans for c in log_commits]
+    if commits:
+        window = Window(min(e.window.lo for e in live_entries),
+                        max(ct for _, ct, _ in commits) + 1)
+        ck = fold_commits(commits, window)
+        if len(ck):
+            rel = ckpt_name(0, window, fid)
+            fid += 1
+            ck.persist(os.path.join(directory, rel))
+            ck.path = rel
+            new_l0.append(ck)
+            entries.append(ManifestEntry(ManifestAction.ADD, 0, rel, window))
+    pushed = [entry.path for entry in live_entries]
+    for entry in live_entries:
+        entries.append(ManifestEntry(ManifestAction.REMOVE, LIVE_LEVEL, entry.path,
+                                     entry.window))
     faults.fire("during-recovery-step-3")
 
     levels[0].extend(new_l0)
@@ -683,9 +684,13 @@ def recover_engine(directory: str, config: EngineConfig | None = None
             horizon = max(horizon, ck.window.hi)
 
     if adopted is not None and adopted.window.lo != coverage_hi:
-        # windows no longer tile up to the pair; push it too (it is empty,
-        # so this is just a manifest removal) and fall back to a fresh pair
-        push_down(adopted)
+        # windows no longer tile up to the pair; drop it too (it holds no
+        # writes, so this is just a manifest removal) and fall back to a
+        # fresh pair
+        entries.append(ManifestEntry(ManifestAction.REMOVE, LIVE_LEVEL,
+                                     adopted._wal_rel, adopted.window))
+        adopted.wal.close()
+        pushed.append(adopted._wal_rel)
         adopted = None
 
     if adopted is not None:
@@ -710,9 +715,9 @@ def recover_engine(directory: str, config: EngineConfig | None = None
         manifest.do_commit(txn)
     faults.fire("during-recovery-step-4")
 
-    for wmp in pushed:
+    for rel in pushed:
         try:
-            os.remove(os.path.join(directory, wmp._wal_rel))
+            os.remove(os.path.join(directory, rel))
         except OSError:
             pass
 

@@ -153,25 +153,6 @@ class JournalStore(TxnLifecycleMixin, Store):
         with self._lock:
             return self._committed[-1][0] if self._committed else None
 
-    # -- persistence ----------------------------------------------------------
-
-    def persist(self, path: str) -> None:
-        from . import codec
-
-        codec.write_journal_file(path, self.records())
-
-    @classmethod
-    def recover(cls, path: str) -> "JournalStore":
-        from . import codec
-
-        records, _ = codec.read_journal_file(path)
-        store = cls()
-        with store._lock:
-            for rec in records:
-                store._append(rec)
-        store._rebuild_lifecycle()
-        return store
-
     def _rebuild_lifecycle(self) -> None:
         states: dict[str, str] = {}
         for rec in self._records:
@@ -217,7 +198,7 @@ class MapStore(TxnLifecycleMixin, Store):
     def insert_committed(self, ct: int, st: int, writes: dict[str, Effect],
                          txn_id: str = "") -> None:
         """Insert one committed transaction's folded writes, atomically with
-        respect to readers. Recovery calls it directly: a version's txn id
+        respect to readers. rebuild_wmp calls it directly: a version's txn id
         never changes a read, because commit timestamps are unique."""
         with self._lock:
             if self._sealed:

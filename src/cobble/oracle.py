@@ -129,10 +129,6 @@ def valuation(trace: Trace, key: str, read_st: int) -> int:
     return _wrap(delta if base is None else base + delta)
 
 
-def all_valuations(trace: Trace, read_st: int) -> dict[str, int]:
-    return {k: valuation(trace, k, read_st) for k in trace.keys()}
-
-
 def validate_trace(trace: Trace) -> None:
     """Raise ValueError if the trace violates timestamp or lifecycle rules."""
     open_sts: dict[str, int] = {}

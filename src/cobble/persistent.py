@@ -6,19 +6,19 @@ fsync. Recovery scans the longest valid frame prefix, truncates torn bytes,
 and appends abort records for transactions the crash left unterminated, so
 a second recovery pass is a byte-identical no-op.
 
-CommitLog answers no reads: it only lets a live pair rebuild its memtable
-after a crash, so it writes one frame per committed transaction and keeps
-nothing in memory.
+CommitLog answers no reads: after a crash, recovery folds its commits
+straight into a checkpoint, so it writes one frame per committed
+transaction and keeps nothing in memory.
 """
 
 from __future__ import annotations
 
 import os
-import shutil
 import threading
 from typing import NoReturn
 
 from . import codec, faults
+from .codec import Write
 from .effects import Effect
 from .memory import JournalStore
 from .store import (
@@ -130,11 +130,6 @@ class PersistentJournal(JournalStore, _FrameFile):
         with self._lock:
             self._append(JournalRecord(RecordKind.MANIFEST, txn.txn_id, payload=payload))
 
-    def persist(self, path: str) -> None:
-        self.flush()
-        if os.path.abspath(path) != os.path.abspath(self._path):
-            shutil.copyfile(self._path, path)
-
     @classmethod
     def recover(cls, path: str) -> "PersistentJournal":
         """Open an existing journal, repairing crash damage.
@@ -163,6 +158,10 @@ class PersistentJournal(JournalStore, _FrameFile):
                     journal._append(JournalRecord(RecordKind.ABORT, txn_id))
                 journal._sync()
         return journal
+
+
+# one logged commit: (st, ct, writes)
+Commit = tuple[int, int, list[Write]]
 
 
 class CommitLog(_FrameFile):
@@ -196,16 +195,17 @@ class CommitLog(_FrameFile):
             self._write_frame(payload)
             self._sync()
 
-    @classmethod
-    def recover(cls, path: str) -> tuple["CommitLog", list[tuple[int, int, dict[str, Effect]]]]:
-        """Open an existing log; returns it and its commits as (st, ct, writes).
+    @staticmethod
+    def scan(path: str) -> tuple[list[Commit], int | None]:
+        """Read and decode an existing log without changing it.
 
-        A torn tail, or one that fails its CRC, is truncated, so a second
-        recovery leaves the file byte-identical. Frames are written and
-        fsynced one at a time, so a crash can tear only the last one: a bad
-        frame with a valid frame after it, or a frame that passes its CRC
-        but does not decode, raises IntegrityError and leaves the file as it
-        is.
+        Returns its commits as (st, ct, writes), with each write a flat
+        (key, base or None, delta) as codec.decode_commit gives it, and the
+        offset to cut a torn tail at, or None when the log ends cleanly. A
+        torn tail, or one that fails its CRC, is left out. Frames are written
+        and fsynced one at a time, so a crash can tear only the last one: a
+        bad frame with a valid frame after it, or a frame that passes its CRC
+        but does not decode, raises IntegrityError.
         """
         if not os.path.exists(path):
             raise StoreError(f"no commit log at {path}")
@@ -213,9 +213,21 @@ class CommitLog(_FrameFile):
             data = f.read()
         payloads, valid_end = codec.scan_frames(data)
         commits = [codec.decode_commit(p) for p in payloads]
-        if valid_end < len(data):
-            if codec.frame_after(data, valid_end):
-                raise IntegrityError(
-                    f"{path}: bad frame at byte {valid_end} with valid frames after it")
-            os.truncate(path, valid_end)
+        if valid_end == len(data):
+            return commits, None
+        if codec.frame_after(data, valid_end):
+            raise IntegrityError(
+                f"{path}: bad frame at byte {valid_end} with valid frames after it")
+        return commits, valid_end
+
+    @classmethod
+    def recover(cls, path: str) -> tuple["CommitLog", list[Commit]]:
+        """Open an existing log; returns it and its commits as scan does.
+
+        A torn tail is truncated, so a second recovery leaves the file
+        byte-identical; on IntegrityError the file stays as it is.
+        """
+        commits, cut = cls.scan(path)
+        if cut is not None:
+            os.truncate(path, cut)
         return cls(path, _recovered=True), commits

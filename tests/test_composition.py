@@ -13,10 +13,11 @@ from cobble.composition import (
     ComposedStore,
     Ministore,
     WALMemtablePair,
+    fold_commits,
     make_checkpoint,
     rebuild_wmp,
 )
-from cobble.effects import Effect
+from cobble.effects import Effect, apply
 from cobble.memory import JournalStore, MapStore
 from cobble.oracle import generate_trace, replay, valuation_effect
 from cobble.persistent import CommitLog, PersistentJournal
@@ -345,3 +346,105 @@ class TestCheckpoint:
         assert back.entries == ck.entries
         assert back.window == ck.window
         assert back.path == path
+
+
+_TOP = (1 << 63) - 1
+
+
+def _random_effect(rng: random.Random) -> Effect:
+    """An increment or an assignment, near the i64 limits a third of the time."""
+    value = rng.choice([rng.randrange(-9, 10), _TOP - rng.randrange(4),
+                        -_TOP - 1 + rng.randrange(4)])
+    if rng.random() < 0.6:
+        return Effect.incr(value)
+    return Effect(rng.choice([value, rng.randrange(-9, 10)]), rng.randrange(-3, 4))
+
+
+def _random_logs(rng: random.Random, n_logs: int) -> list[tuple[int, list]]:
+    """Contiguous logs as (lo, commits in written order), commits as
+    (st, ct, {key: effect}). Every st is at or above the log's lo - 1, as
+    the engine's begin enforces, and below its ct; many fall below the
+    previous ct, which makes concurrent groups. Some commits write nothing,
+    and a few neighbouring frames are written out of ct order."""
+    logs = []
+    ct = lo = rng.randrange(3)
+    for _ in range(n_logs):
+        commits = []
+        for _ in range(rng.randrange(1, 20)):
+            ct += rng.randrange(1, 3)
+            st = rng.randrange(max(lo - 1, 0), ct)
+            writes = {f"k{rng.randrange(5)}": _random_effect(rng)
+                      for _ in range(rng.choice([0, 1, 1, 2, 3]))}
+            commits.append((st, ct, writes))
+        for _ in range(rng.randrange(3)):
+            i = rng.randrange(len(commits))
+            commits[i:i + 2] = commits[i:i + 2][::-1]
+        logs.append((lo, commits))
+        lo = ct + 1
+    return logs
+
+
+def _write_log(path: str, commits) -> None:
+    log = CommitLog(path)
+    for i, (st, ct, writes) in enumerate(commits):
+        txn = TransactionDescriptor(f"t{i}", st=st, ct=ct)
+        txn.effect_buffer = dict(writes)
+        log.do_commit(txn)
+    log.close()
+
+
+def _same_checkpoint(got: Checkpoint, want: Checkpoint) -> None:
+    assert got.window == want.window
+    assert list(got) == list(want)  # same keys in the same row order
+    assert got.entries == want.entries
+
+
+class TestFoldCommits:
+    def test_each_log_folds_to_the_memtable_checkpoint(self, tmp_path):
+        rng = random.Random(20)
+        for trial in range(150):
+            for lo, commits in _random_logs(rng, 1):
+                path = str(tmp_path / f"wal-{trial}.log")
+                _write_log(path, commits)
+                wmp = rebuild_wmp(path, lo)
+                window = wmp.seal()
+                want = make_checkpoint(wmp, window)
+                wmp.wal.close()
+                logged, cut = CommitLog.scan(path)
+                assert cut is None
+                _same_checkpoint(fold_commits(logged, window), want)
+
+    def test_contiguous_logs_fold_like_their_checkpoints_applied_in_turn(self, tmp_path):
+        rng = random.Random(21)
+        for trial in range(80):
+            logs = _random_logs(rng, rng.randrange(2, 5))
+            applied: dict[str, Effect] = {}
+            everything = []
+            for i, (lo, commits) in enumerate(logs):
+                path = str(tmp_path / f"wal-{trial}-{i}.log")
+                _write_log(path, commits)
+                wmp = rebuild_wmp(path, lo)
+                own = make_checkpoint(wmp, wmp.seal())
+                wmp.wal.close()
+                for key, eff in own.entries.items():
+                    applied[key] = apply(applied[key], eff) if key in applied else eff
+                everything += CommitLog.scan(path)[0]
+            hi = max(ct for _, ct, _ in everything) + 1
+            got = fold_commits(everything, Window(logs[0][0], hi))
+            _same_checkpoint(got, Checkpoint(applied, Window(logs[0][0], hi)))
+
+    def test_wrap_and_groups_pinned(self):
+        top = _TOP
+        commits = [  # (st, ct, writes), deliberately out of ct order
+            (1, 3, [("a", None, top), ("b", 7, 0)]),
+            (0, 1, [("a", None, 1), ("b", None, 5)]),
+            (1, 2, [("b", None, 2)]),  # concurrent with ct 3: survives on b's 7
+            (3, 4, [("a", None, 1)]),
+            (4, 5, []),
+        ]
+        ck = fold_commits(commits, Window(0, 6))
+        assert list(ck) == ["a", "b"]
+        assert ck.entries == {"a": Effect(None, -top), "b": Effect(7, 2)}
+        assert len(fold_commits([(0, 1, [])], Window(0, 2))) == 0
+        with pytest.raises(StoreError):
+            fold_commits(commits, Window(0, None))

@@ -11,7 +11,7 @@ import pytest
 import cobble.composition
 import cobble.engine
 import cobble.memory
-from cobble import faults
+from cobble import codec, faults
 from cobble.composition import Checkpoint
 from cobble.effects import Effect, apply
 from cobble.engine import (
@@ -714,6 +714,104 @@ class TestRecovery:
             assert layout["horizon"] == ref_layout["horizon"], f"step {step}"
             for (k, rs), want in ref_table.items():
                 assert effect_at(engine, k, rs) == want, (step, k, rs)
+            engine.close()
+
+
+def _engine_with_live_pairs(d: str, cfg: EngineConfig, txns: int = 32) -> dict:
+    """Commit txns of two writes each and close; returns {key: effect} at
+    the latest snapshot, read before the close."""
+    engine = LevelledStore.create(d, cfg)
+    rng = random.Random(5)
+    keys = [f"k{i}" for i in range(9)]
+    for i in range(txns):
+        a, b = rng.sample(keys, 2)
+        run_txn(engine, f"t{i}", i, i + 1, [(a, Effect.incr(rng.randrange(1, 9))),
+                                            (b, Effect.assign(rng.randrange(99)))
+                                            if i % 3 else (b, Effect.incr(1))])
+    reads = {k: effect_at(engine, k, txns + 1) for k in keys}
+    engine.close()
+    return reads
+
+
+def _files(d: str) -> dict[str, bytes]:
+    out = {}
+    for name in sorted(os.listdir(d)):
+        with open(os.path.join(d, name), "rb") as f:
+            out[name] = f.read()
+    return out
+
+
+class TestRecoveryFold:
+    """Recovery folds every live log that holds writes into one L0 checkpoint."""
+
+    cfg = small_config(live_capacity=8, wmp_rotate_effects=6,
+                       level_capacities=(64, 64, 1 << 30))
+
+    def test_live_logs_fold_into_one_l0_checkpoint(self, tmp_path):
+        d = str(tmp_path / "db")
+        reads = _engine_with_live_pairs(d, self.cfg)
+        logs = sorted((n for n in os.listdir(d) if n.startswith("wal-")),
+                      key=lambda n: int(n[4:-4]))
+        assert len(logs) >= 3 and all(os.path.getsize(os.path.join(d, n)) for n in logs)
+        l0_before = [n for n in os.listdir(d) if n.startswith("ckpt-0-")]
+
+        layouts = []
+        for _ in range(2):
+            engine, floor = open_engine(d, self.cfg)
+            layout = engine.layout()
+            assert len(layout["levels"][0]) == len(l0_before) + 1
+            (_, (lo, hi), _), = [c for c in layout["levels"][0]
+                                 if os.path.basename(c[0]) not in l0_before]
+            assert (lo, hi) == (int(logs[0][4:-4]), floor + 1)
+            assert [w for w, _ in layout["live"]] == [f"wal-{floor + 1}.log"]
+            assert {k: effect_at(engine, k, floor + 1) for k in reads} == reads
+            layouts.append(layout)
+            engine.close()
+        assert layouts[1] == layouts[0]
+
+    def test_bad_middle_frame_changes_no_file(self, tmp_path):
+        d = str(tmp_path / "db")
+        _engine_with_live_pairs(d, self.cfg)
+        logs = sorted((os.path.join(d, n) for n in os.listdir(d) if n.startswith("wal-")),
+                      key=lambda p: int(os.path.basename(p)[4:-4]))
+        assert len(logs) >= 3
+        faults.truncate_file(logs[-1], -3)  # a torn tail on the last log
+        torn = _files(d)
+        frames, _ = codec.scan_frames(torn[os.path.basename(logs[1])])
+        assert len(frames) >= 2
+        faults.corrupt_file(logs[1], 10, 1)  # inside the first frame's payload
+        before = _files(d)
+        for _ in range(2):
+            with pytest.raises(IntegrityError):
+                open_engine(d, self.cfg)
+            assert _files(d) == before
+        with open(logs[1], "wb") as f:
+            f.write(torn[os.path.basename(logs[1])])
+
+        ref_dir = str(tmp_path / "ref")
+        shutil.copytree(d, ref_dir)
+        ref, ref_floor = open_engine(ref_dir, self.cfg)
+        ref_layout = ref.layout()
+        keys = [f"k{i}" for i in range(9)]
+        ref_reads = {k: effect_at(ref, k, ref_floor + 1) for k in keys}
+        ref.close()
+
+        # a crash once the logs are read leaves only the torn tail cut
+        faults.install_plan(FaultPlan().arm("during-recovery-step-2", CrashProcess()))
+        with pytest.raises(InjectedCrash):
+            recover_engine(d, self.cfg)
+        faults.clear_plan()
+        after = _files(d)
+        last = os.path.basename(logs[-1])
+        _, valid_end = codec.scan_frames(torn[last])
+        assert valid_end < len(torn[last]) and after[last] == torn[last][:valid_end]
+        assert {n: b for n, b in after.items() if n != last} == {
+            n: b for n, b in torn.items() if n != last}
+        for _ in range(2):
+            engine, floor = open_engine(d, self.cfg)
+            assert floor == ref_floor
+            assert engine.layout() == ref_layout
+            assert {k: effect_at(engine, k, floor + 1) for k in keys} == ref_reads
             engine.close()
 
 

@@ -228,13 +228,21 @@ class TestCommitLog:
         return path
 
     def test_commit_payload_round_trip(self):
-        writes = {"k": Effect(None, -3), "é": Effect(5, 2)}
+        top = (1 << 63) - 1
+        writes = {"k": Effect(None, -3), "é": Effect(5, 2), "x": Effect(-top - 1, top)}
         payload = codec.encode_commit(7, 9, writes)
-        assert codec.decode_commit(payload) == (7, 9, writes)
-        assert codec.decode_commit(codec.encode_commit(0, 1, {})) == (0, 1, {})
-        for bad in (payload[:-1], payload + b"\x00", b"",
-                    codec.encode_record(JournalRecord(RecordKind.BEGIN, "t", 3))):
-            with pytest.raises(IntegrityError):
+        assert codec.decode_commit(payload) == (
+            7, 9, [("k", None, -3), ("é", 5, 2), ("x", -top - 1, top)])
+        assert codec.decode_commit(codec.encode_commit(0, 1, {})) == (0, 1, [])
+        one = codec.encode_commit(0, 1, {"abc": Effect.incr(1)})
+        key_end = 1 + 20 + 2 + 3
+        for bad, why in ((payload[:-1], "bad commit payload"),
+                         (payload + b"\x00", "trailing bytes"), (b"", "not a commit"),
+                         (one[:key_end - 1], "short key"),
+                         (one[:key_end] + b"\x02" + one[key_end + 1:], "bad effect tag"),
+                         (codec.encode_record(JournalRecord(RecordKind.BEGIN, "t", 3)),
+                          "not a commit")):
+            with pytest.raises(IntegrityError, match=why):
                 codec.decode_commit(bad)
 
     def test_one_frame_per_commit_and_nothing_before(self, tmp_path):
@@ -266,7 +274,7 @@ class TestCommitLog:
         log, commits = CommitLog.recover(path)
         log.close()
         assert [(st, ct) for st, ct, _ in commits] == [(0, 0), (1, 1), (2, 2)]
-        assert commits[2][2] == {"k": Effect.incr(3), "j2": Effect.assign(2)}
+        assert commits[2][2] == [("k", None, 3), ("j2", 2, 0)]
 
     def test_torn_tail_truncated_and_recovery_idempotent(self, tmp_path):
         path = self._log(tmp_path)

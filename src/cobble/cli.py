@@ -8,7 +8,7 @@ import sys
 import tempfile
 
 from .bench import STORE_NAMES, run_store_bench, write_csv
-from .engine import EngineConfig, LevelledStore, open_engine, recover_engine
+from .engine import EngineConfig, LevelledStore, first_overlap, open_engine, recover_engine
 from .memory import JournalStore, MapStore
 from .oracle import generate_trace, replay, validate_trace, valuation_effect
 from .persistent import PersistentJournal
@@ -164,6 +164,9 @@ def _cmd_recover(args) -> int:
         if row:
             print(f"  L{lvl}    total  {len(row)} checkpoints  {sum(counts)} entries  "
                   f"{total_bytes} B")
+        if lvl and row:
+            pair = first_overlap([(path, kr) for path, _, kr in row])
+            print(f"  L{lvl}    " + ("disjoint" if pair is None else f"overlap  {pair[0]}  {pair[1]}"))
     engine.close()
     return 0
 

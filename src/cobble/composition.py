@@ -9,6 +9,7 @@ packed as one sorted key run with columnar effects.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from operator import itemgetter
@@ -155,9 +156,6 @@ class WALMemtablePair(Store):
                txn: TransactionDescriptor | None = None) -> Effect | None:
         return self.memtable.lookup(key, read_st, txn)
 
-    def written_keys(self) -> set[str]:
-        return self.memtable.written_keys()
-
     def seal(self, hi: int | None = None) -> Window:
         """Fix the window top to one past the last committed ct."""
         if self.sealed:
@@ -203,7 +201,8 @@ class Checkpoint(Store):
 
     def __init__(self, entries: dict[str, Effect], window: Window,
                  path: str | None = None):
-        self._fill(window, path, *_columns(sorted(entries.items())))
+        keys = sorted(entries)
+        self._fill(window, path, *_columns(keys, [entries[k] for k in keys]))
 
     @classmethod
     def _packed(cls, window: Window, keys: list[str], flags: bytes | bytearray,
@@ -260,35 +259,54 @@ class Checkpoint(Store):
         i = self._index.get(key)
         return None if i is None else self._effect(i)
 
-    def fold(self, newer: "Checkpoint", keys: Iterable[str], window: Window) -> "Checkpoint":
-        """A copy with newer's effect on each of keys applied on top, as
-        effects.apply(mine, newer's) does; both must hold every one of keys.
-        The key set does not change, so the copy shares the keys and index."""
+    def fold(self, newer: "Checkpoint", window: Window) -> "Checkpoint":
+        """A new checkpoint over window: newer's effect on each of its keys
+        applied on top of mine, as effects.apply(mine, newer's) does, and a
+        key only newer holds merged in at its place in key order. The columns
+        are copied in bulk and only newer's keys are visited; when I hold
+        every one of them the copy shares my keys and index."""
         flags = bytearray(self._flags)
         bases = array("q", self._bases)
         deltas = array("q", self._deltas)
         index = self._index
-        for key in keys:
-            i, j = index[key], newer._index[key]
-            if newer._flags[j]:  # a later assignment absorbs the history
+        fresh: list[int] = []  # positions in newer of the keys I lack
+        for j, key in enumerate(newer._keys):
+            i = index.get(key)
+            if i is None:
+                fresh.append(j)
+            elif newer._flags[j]:  # a later assignment absorbs the history
                 flags[i] = 1
                 bases[i] = newer._bases[j]
                 deltas[i] = newer._deltas[j]
             else:
                 deltas[i] = wrap_i64(deltas[i] + newer._deltas[j])
-        return Checkpoint._packed(window, self._keys, flags, bases, deltas, index=index)
-
-    def subset(self, keys: list[str]) -> "Checkpoint":
-        """A new, unpersisted checkpoint of keys (ascending, all held here)
-        with their effects, over the same window."""
-        if len(keys) == len(self._keys):
-            return Checkpoint._packed(self.window, self._keys, self._flags,
-                                      self._bases, self._deltas, index=self._index)
-        pos = [self._index[key] for key in keys]
+        if not fresh:
+            return Checkpoint._packed(window, self._keys, flags, bases, deltas, index=index)
+        keys = self._keys + [newer._keys[j] for j in fresh]
+        flags += bytes([newer._flags[j] for j in fresh])
+        bases.extend([newer._bases[j] for j in fresh])
+        deltas.extend([newer._deltas[j] for j in fresh])
+        order = sorted(range(len(keys)), key=keys.__getitem__)  # two sorted runs
         return Checkpoint._packed(
-            self.window, keys, bytes([self._flags[i] for i in pos]),
-            array("q", [self._bases[i] for i in pos]),
-            array("q", [self._deltas[i] for i in pos]))
+            window, [keys[i] for i in order], bytes([flags[i] for i in order]),
+            array("q", [bases[i] for i in order]), array("q", [deltas[i] for i in order]))
+
+    def cut(self, bounds: list[str]) -> list["Checkpoint"]:
+        """Pieces over the same window, split before each of bounds
+        (ascending): piece i holds the keys below bounds[i] not in an
+        earlier piece, the last one the rest. Pieces may be empty."""
+        keys = self._keys
+        edges = [0] + [bisect_left(keys, b) for b in bounds] + [len(keys)]
+        return [Checkpoint._packed(self.window, keys[a:b], self._flags[a:b],
+                                   self._bases[a:b], self._deltas[a:b])
+                for a, b in zip(edges, edges[1:])]
+
+    def chunks(self, size: int) -> list["Checkpoint"]:
+        """Pieces over the same window in key order, as even as can be, none
+        holding more than size entries."""
+        n = len(self._keys)
+        count = -(-n // size)
+        return self.cut([self._keys[n * i // count] for i in range(1, count)])
 
     def _read_only(self):
         raise StoreError("checkpoint is read-only")
@@ -320,19 +338,12 @@ class Checkpoint(Store):
         return cls._packed(window or file_window, keys, flags, bases, deltas, path=path)
 
 
-def _columns(items: Iterable[tuple[str, Effect]]
+def _columns(keys: list[str], effects: list[Effect]
              ) -> tuple[list[str], bytearray, array, array]:
-    """Checkpoint columns of (key, effect) pairs given in ascending key order."""
-    keys: list[str] = []
-    flags = bytearray()
-    bases = array("q")
-    deltas = array("q")
-    for key, eff in items:
-        keys.append(key)
-        flags.append(eff.base is not None)
-        bases.append(eff.base or 0)
-        deltas.append(eff.delta)
-    return keys, flags, bases, deltas
+    """Checkpoint columns of keys, given ascending, and their effects."""
+    return (keys, bytearray([e.base is not None for e in effects]),
+            array("q", [e.base or 0 for e in effects]),
+            array("q", [e.delta for e in effects]))
 
 
 def fold_commits(commits: Iterable[Commit], window: Window) -> Checkpoint:
@@ -382,14 +393,13 @@ def fold_commits(commits: Iterable[Commit], window: Window) -> Checkpoint:
     return Checkpoint._packed(window, keys, flags, bases, deltas)
 
 
-def make_checkpoint(src: Store, window: Window) -> Checkpoint:
-    """Consolidate a sealed store into key -> effect at window.hi."""
+def make_checkpoint(src: MapStore | WALMemtablePair, window: Window) -> Checkpoint:
+    """Consolidate a sealed memtable, or a pair's, into key -> effect at
+    window.hi, with its columns built straight from the per-key version
+    lists (MapStore.consolidated)."""
     if window.hi is None:
         raise StoreError("cannot checkpoint an open window")
-    sealed = getattr(src, "sealed", True)
-    if not sealed:
+    memtable = src.memtable if isinstance(src, WALMemtablePair) else src
+    if not memtable.sealed:
         raise StoreError("cannot checkpoint an unsealed store")
-    hi = window.hi
-    consolidated = ((key, src.lookup(key, hi)) for key in sorted(src.written_keys()))
-    return Checkpoint._packed(
-        window, *_columns((k, e) for k, e in consolidated if e is not None))
+    return Checkpoint._packed(window, *_columns(*memtable.consolidated(window.hi)))

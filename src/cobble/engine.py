@@ -3,13 +3,25 @@ checkpoint levels below, a MANIFEST journal recording every structural
 change.
 
 Each live pair's log holds one frame per committed transaction and serves
-no reads. Reads walk levels newest to oldest collecting per-slice effects
-until an assignment cuts history, then fold the slices oldest-first.
+no reads. A sealed pair is flushed into a level-0 checkpoint whose columns
+come straight from the memtable's per-key version lists. Level 0 holds
+checkpoints in age order with overlapping key ranges; every level >= 1 is a
+run of checkpoints sorted by key range with disjoint ranges, so a key lives
+in at most one checkpoint per level. A read walks the live pairs and level 0
+newest to oldest, then makes one bisect over each deeper level's range
+starts and at most one probe there, collecting per-slice effects until an
+assignment cuts history, and folds the slices oldest-first.
+
+A level merge moves a source that overlaps nothing in the level below down
+whole, and otherwise folds it into only the checkpoints it overlaps.
 Compaction only folds already-consolidated entries; it never merges
-concurrent effects across stores. Recovery replays the MANIFEST, folds every
-live commit log that holds writes straight into one level-0 checkpoint (no
-memtable is rebuilt), and restarts timestamps above every commit timestamp
-it saw; rerunning it reproduces the same visible layout.
+concurrent effects across stores, and it runs only after the layout changed
+or a snapshot that held it back ended. Recovery replays the MANIFEST,
+rebuilds each level's key order from the ranges it records (refusing
+overlaps), folds every live commit log that holds writes straight into one
+level-0 checkpoint (no memtable is rebuilt), and restarts timestamps above
+every commit timestamp it saw; rerunning it reproduces the same visible
+layout.
 """
 
 from __future__ import annotations
@@ -18,6 +30,7 @@ import os
 import re
 import struct
 import threading
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -149,14 +162,21 @@ class LevelledStore(Store):
         self.directory = directory
         self.config = config
         self._manifest = manifest
-        # (live pairs, checkpoint levels), replaced by one assignment so that a
-        # lookup reading it once never sees a pair both live and checkpointed
+        # (live pairs, checkpoint levels, each level's range starts), replaced
+        # by one assignment so that a lookup reading it once never sees a pair
+        # both live and checkpointed, or a level out of step with its starts
         self._layout: tuple[tuple[WALMemtablePair, ...],
-                            tuple[tuple[Checkpoint, ...], ...]] = (
-            tuple(live), tuple(tuple(l) for l in levels))
+                            tuple[tuple[Checkpoint, ...], ...],
+                            tuple[tuple[str, ...], ...]]
         self._mutex = threading.RLock()
+        self._set_layout_locked(tuple(live), tuple(tuple(row) for row in levels))
         self._rotation_cond = threading.Condition(self._mutex)
         self._rotation_pending = False
+        # a scan for compaction work runs only after a rotation, checkpoint or
+        # merge changed the layout, or once a snapshot the gate held work back
+        # for is released; a reopened layout may hold work already
+        self._compaction_due = any(levels)
+        self._gate_blocked = False
         self._pins: dict[str, WALMemtablePair] = {}
         self._active_sts: dict[str, int] = {}
         self._horizon = horizon
@@ -201,8 +221,13 @@ class LevelledStore(Store):
         entries = list(extra_entries)
         entries.append(ManifestEntry(ManifestAction.ADD, LIVE_LEVEL, rel, Window(lo, None)))
         self._manifest_commit_locked(entries)
-        live, levels = self._layout
-        self._layout = (live + (wmp,), levels)
+        live, levels, _ = self._layout
+        self._set_layout_locked(live + (wmp,), levels)
+
+    def _set_layout_locked(self, live: tuple[WALMemtablePair, ...],
+                           levels: tuple[tuple[Checkpoint, ...], ...]) -> None:
+        starts = ((),) + tuple(tuple(ck.key_range[0] for ck in row) for row in levels[1:])
+        self._layout = (live, levels, starts)
 
     def _manifest_commit_locked(self, entries: list[ManifestEntry],
                                 ts: int | None = None) -> None:
@@ -269,6 +294,9 @@ class LevelledStore(Store):
         with self._rotation_cond:
             wmp = self._pins.pop(txn_id, None)
             self._active_sts.pop(txn_id, None)
+            if self._gate_blocked:  # retry what the gate held back
+                self._gate_blocked = False
+                self._compaction_due = True
             if (self._rotation_pending and wmp is self._layout[0][-1]
                     and not self._pin_count_locked(wmp)):
                 self._rotate_locked()
@@ -290,7 +318,7 @@ class LevelledStore(Store):
         if read_st < self._horizon:
             self.stats["old_read_rejections"] += 1
             raise WindowError(f"read_st {read_st} below compaction horizon {self._horizon}")
-        live, levels = self._layout
+        live, levels, starts = self._layout
         probes = self.probes
         found: list[Effect] = []
         assigned = False
@@ -305,21 +333,33 @@ class LevelledStore(Store):
                     assigned = True
                     break
         if not assigned:
-            for lvl, row in enumerate(levels):
-                for ck in reversed(row):
-                    if not ck.window.intersects_prefix(read_st):
-                        continue
-                    if lvl >= 1 and not ck.covers_key(key):
-                        continue
-                    probes[lvl] += 1
-                    eff = ck.probe(key, read_st)
-                    if eff is not None:
-                        found.append(eff)
-                        if eff.base is not None:
-                            assigned = True
-                            break
-                if assigned:
-                    break
+            for ck in reversed(levels[0]):
+                if not ck.window.intersects_prefix(read_st):
+                    continue
+                probes[0] += 1
+                eff = ck.probe(key, read_st)
+                if eff is not None:
+                    found.append(eff)
+                    if eff.base is not None:
+                        assigned = True
+                        break
+        if not assigned:
+            # a level >= 1 is sorted by key range with disjoint ranges: only
+            # the last checkpoint starting at or below the key can hold it
+            # (and its window lies below the horizon, so below read_st)
+            for lvl in range(1, len(levels)):
+                i = bisect_right(starts[lvl], key) - 1
+                if i < 0:
+                    continue
+                ck = levels[lvl][i]
+                if not ck.covers_key(key):
+                    continue
+                probes[lvl] += 1
+                eff = ck.probe(key, read_st)
+                if eff is not None:
+                    found.append(eff)
+                    if eff.base is not None:
+                        break
         if not found:
             return None
         acc = found[-1]  # oldest slice
@@ -345,8 +385,10 @@ class LevelledStore(Store):
                     self._rotate_locked()
                 else:
                     self._rotation_pending = True  # last unpin completes it
-            self._compact_live_locked(force=False)
-            self._compact_levels_locked(force=False)
+            if self._compaction_due:
+                self._compact_live_locked(force=False)
+                self._compact_levels_locked(force=False)
+                self._compaction_due = False  # a scan runs until nothing more is due
 
     def compact(self, force: bool = False) -> None:
         """Run the capacity loop now; force treats every threshold as zero
@@ -370,12 +412,16 @@ class LevelledStore(Store):
         self._rotation_pending = False
         self.stats["rotations"] += 1
         self._open_fresh_wmp_locked(window.hi, [])
+        self._compaction_due = True
         self._rotation_cond.notify_all()
 
     def _gate_locked(self, hi: int) -> bool:
         """Only history below every active snapshot may be consolidated."""
         min_st = min(self._active_sts.values(), default=None)
-        return min_st is None or hi <= min_st
+        if min_st is None or hi <= min_st:
+            return True
+        self._gate_blocked = True
+        return False
 
     def _compact_live_locked(self, force: bool) -> None:
         keep = 1 if force else self.config.live_capacity
@@ -401,10 +447,11 @@ class LevelledStore(Store):
         entries_list.append(ManifestEntry(
             ManifestAction.REMOVE, LIVE_LEVEL, wmp._wal_rel, window))
         self._manifest_commit_locked(entries_list)
-        live, levels = self._layout
+        live, levels, _ = self._layout
         if len(ck):
             levels = (levels[0] + (ck,),) + levels[1:]
-        self._layout = (live[1:], levels)
+        self._set_layout_locked(live[1:], levels)
+        self._compaction_due = True
         if len(ck) and window.hi > self._horizon:
             self._horizon = window.hi
         self.stats["live_checkpoints"] += 1
@@ -417,11 +464,12 @@ class LevelledStore(Store):
     def _compact_levels_locked(self, force: bool) -> None:
         collapses_before = effects.counters["multi_collapse"]
         for level in range(self.config.max_levels - 1):
-            row = list(self._layout[1][level])
+            row = self._layout[1][level]
             cap = 0 if force else self.config.capacity(level)
             excess = len(row) - cap
             if excess <= 0:
                 continue
+            # L0's oldest, whose ranges overlap; below it, the lowest ranges
             sources = row[:excess]
             if not all(self._gate_locked(s.window.hi) for s in sources):
                 continue
@@ -429,73 +477,79 @@ class LevelledStore(Store):
         self.stats["level_merge_collapses"] += (
             effects.counters["multi_collapse"] - collapses_before)
 
-    def _merge_down_locked(self, level: int, sources: list[Checkpoint]) -> None:
-        """Fold source checkpoints (oldest first) into level+1.
+    def _merge_down_locked(self, level: int, sources: tuple[Checkpoint, ...]) -> None:
+        """Merge a level's first checkpoints (oldest first) into level+1, a
+        run of checkpoints sorted by key range with disjoint ranges.
 
-        Shared keys fold into the owning target (older history first); keys
-        no target owns gather into a fresh checkpoint per source. Targets are
-        rebuilt as new objects/files; the old layout stays intact until the
+        The targets a source overlaps are found by bisect on the range
+        starts. A source that overlaps none moves down whole: the same
+        checkpoint and file, recorded at level+1. Otherwise the source is cut
+        at the overlapping targets' starts, and each target folds in its
+        piece (keys below the first target or above the last join it, so
+        ranges stay disjoint); a result that outgrows twice the rotation size
+        is split. Only those targets are rewritten, and nothing is persisted
+        until the whole pass is built: the old layout stays intact until the
         manifest transaction commits.
         """
-        levels = self._layout[1]
-        next_row: list[Checkpoint] = list(levels[level + 1])
-        replaced: dict[int, Checkpoint] = {}  # index in next_row -> original
+        _, levels, _ = self._layout
+        before = levels[level + 1]
+        row = list(before)
+        limit = 2 * self.config.wmp_rotate_effects
         for src in sources:
-            residual: list[str] = []
-            touched: dict[int, list[str]] = {}
-            for key in src:
-                for i, target in enumerate(next_row):
-                    if key in target:
-                        touched.setdefault(i, []).append(key)
-                        break
+            lo, hi = src.key_range
+            starts = [ck.key_range[0] for ck in row]
+            a = bisect_right(starts, lo) - 1
+            if a < 0 or row[a].key_range[1] < lo:
+                a += 1
+            b = bisect_right(starts, hi)
+            if a == b:
+                row.insert(a, src)
+                continue
+            out: list[Checkpoint] = []
+            for target, piece in zip(row[a:b], src.cut(starts[a + 1:b])):
+                if not len(piece):
+                    out.append(target)
+                    continue
+                merged = target.fold(piece, Window(min(target.window.lo, src.window.lo),
+                                                   max(target.window.hi, src.window.hi)))
+                if len(merged) > limit:
+                    out += merged.chunks(self.config.wmp_rotate_effects)
                 else:
-                    residual.append(key)
-            for i, keys in touched.items():
-                target = next_row[i]
-                window = Window(min(target.window.lo, src.window.lo),
-                                max(target.window.hi, src.window.hi))
-                if i not in replaced:
-                    replaced[i] = target
-                next_row[i] = target.fold(src, keys, window)
-            if residual:
-                next_row.append(src.subset(residual))
+                    out.append(merged)
+            row[a:b] = out
         self.stats["level_merges"] += 1
 
-        adds: list[ManifestEntry] = []
-        removes: list[ManifestEntry] = []
+        kept = {id(ck) for ck in row}
+        was_below = {id(ck) for ck in before}
+        entries: list[ManifestEntry] = []
+        for ck in row:
+            if ck.path is None:
+                rel = ckpt_name(level + 1, ck.window, self._fid)
+                self._fid += 1
+                ck.persist(self._abs(rel))
+                ck.path = rel
+            elif id(ck) in was_below:
+                continue  # an untouched target
+            entries.append(ManifestEntry(ManifestAction.ADD, level + 1, ck.path,
+                                         ck.window, ck.key_range))
         old_paths: list[str] = []
-        fresh: list[Checkpoint] = []
-        for i, ck in enumerate(next_row):
-            if ck.path is not None:
-                continue  # unchanged survivor
-            fresh.append(ck)
-            rel = ckpt_name(level + 1, ck.window, self._fid)
-            self._fid += 1
-            ck.persist(self._abs(rel))
-            ck.path = rel
-            adds.append(ManifestEntry(ManifestAction.ADD, level + 1, rel,
-                                      ck.window, ck.key_range))
-        for original in replaced.values():
-            if original.path is None:
-                continue  # intermediate built this pass, never in the manifest
-            removes.append(ManifestEntry(ManifestAction.REMOVE, level + 1,
-                                         original.path, original.window))
-            old_paths.append(original.path)
+        for ck in before:
+            if id(ck) not in kept:
+                entries.append(ManifestEntry(ManifestAction.REMOVE, level + 1,
+                                             ck.path, ck.window))
+                old_paths.append(ck.path)
         for src in sources:
-            removes.append(ManifestEntry(ManifestAction.REMOVE, level,
-                                         src.path, src.window))
-            old_paths.append(src.path)
-        self._manifest_commit_locked(adds + removes)
+            entries.append(ManifestEntry(ManifestAction.REMOVE, level, src.path, src.window))
+            if id(src) not in kept:
+                old_paths.append(src.path)
+        self._manifest_commit_locked(entries)
 
         rows = list(levels)
-        rows[level] = tuple(levels[level][len(sources):])
-        # keep row order equal to what manifest replay reconstructs:
-        # untouched survivors in place, rebuilt/new checkpoints at the end
-        fresh_ids = {id(ck) for ck in fresh}
-        rows[level + 1] = tuple(
-            [ck for ck in next_row if id(ck) not in fresh_ids] + fresh)
-        self._layout = (self._layout[0], tuple(rows))
-        for ck in next_row:
+        rows[level] = levels[level][len(sources):]
+        rows[level + 1] = tuple(row)
+        self._set_layout_locked(self._layout[0], tuple(rows))
+        self._compaction_due = True
+        for ck in row:
             if ck.window.hi > self._horizon:
                 self._horizon = ck.window.hi
         for rel in old_paths:
@@ -508,7 +562,7 @@ class LevelledStore(Store):
 
     def layout(self) -> dict:
         with self._mutex:
-            live, levels = self._layout
+            live, levels, _ = self._layout
             return {
                 "live": [(w._wal_rel, (w.window.lo, w.window.hi)) for w in live],
                 "levels": [
@@ -574,7 +628,33 @@ def replay_manifest(manifest: PersistentJournal) -> tuple[dict[str, ManifestEntr
                     target[entry.path] = entry
                 else:
                     target.pop(entry.path, None)
+    for lvl in range(1, len(levels)):
+        levels[lvl] = _key_ordered(lvl, levels[lvl])
     return live, levels, max_fid + 1, max_mseq + 1, max_ts
+
+
+def _key_ordered(level: int, refs: dict[str, ManifestEntry]) -> dict[str, ManifestEntry]:
+    """A level >= 1's entries sorted by the key range each records; raises
+    IntegrityError when one records none or two ranges overlap."""
+    for e in refs.values():
+        if e.key_range is None:
+            raise IntegrityError(f"level {level} checkpoint {e.path} records no key range")
+    ordered = sorted(refs.values(), key=lambda e: e.key_range)
+    pair = first_overlap([(e.path, e.key_range) for e in ordered])
+    if pair is not None:
+        raise IntegrityError(
+            f"level {level} checkpoints {pair[0]} and {pair[1]} have overlapping key ranges")
+    return {e.path: e for e in ordered}
+
+
+def first_overlap(row: list[tuple[str, tuple[str, str]]]) -> tuple[str, str] | None:
+    """The names of the first two neighbours whose key ranges overlap in a
+    row of (name, key range) sorted by range, or None when the row is
+    disjoint (neighbours disjoint in start order means all are)."""
+    for (p, r), (q, s) in zip(row, row[1:]):
+        if s[0] <= r[1]:
+            return p, q
+    return None
 
 
 def _recover_manifest(path: str) -> PersistentJournal:
@@ -627,12 +707,21 @@ def recover_engine(directory: str, config: EngineConfig | None = None
                 raise IntegrityError(
                     f"{mpath} references missing checkpoint {entry.path}") from exc
             ck.path = entry.path
+            if lvl and ck.key_range != entry.key_range:
+                raise IntegrityError(
+                    f"{entry.path} holds keys {ck.key_range}, {mpath} records {entry.key_range}")
             levels[lvl].append(ck)
             if ck.window.hi - 1 > highest:
                 highest = ck.window.hi - 1
     # read and validate every live log before changing any file
     live_entries = list(live_refs.values())
     scans = [CommitLog.scan(os.path.join(directory, e.path)) for e in live_entries]
+    # every log but the trailing one was fsynced whole before the next was
+    # added, so only the trailing one can have been torn by a crash
+    for entry, (_, cut) in zip(live_entries[:-1], scans):
+        if cut is not None:
+            raise IntegrityError(
+                f"{entry.path}: bad last frame at byte {cut} in a rotated log")
     for entry, (commits, cut) in zip(live_entries, scans):
         if cut is not None:
             os.truncate(os.path.join(directory, entry.path), cut)

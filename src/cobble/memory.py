@@ -218,39 +218,25 @@ class MapStore(TxnLifecycleMixin, Store):
 
     def probe(self, key: str, read_st: int) -> Effect | None:
         """lookup without the key check, for a caller that made it already."""
-        # Scan newest to oldest from the bisect point, cutting once a completed
-        # group carries an assignment: anything older is absorbed by it. The
-        # scan holds the lock because a concurrent insort below the bisect
-        # point would shift the indices it walks.
-        groups_newest_first: list[list[Version]] = []
+        # the walk holds the lock because a concurrent insort below the
+        # bisect point would shift the indices it walks
         with self._lock:
             versions = self._per_key.get(key)
-            if not versions:
-                return None
-            hi = bisect.bisect_left(versions, read_st, key=lambda v: v[0])
-            if hi == 0:
-                return None
-            group = [versions[hi - 1]]
-            for j in range(hi - 2, -1, -1):
-                newer_st = versions[j + 1][1]
-                older_ct = versions[j][0]
-                if newer_st >= older_ct:  # group boundary
-                    groups_newest_first.append(group)
-                    if any(v[3].base is not None for v in group):
-                        break
-                    group = [versions[j]]
-                else:
-                    group.append(versions[j])
-            else:
-                groups_newest_first.append(group)
-        acc: Effect | None = None
-        for g in reversed(groups_newest_first):
-            if len(g) == 1:
-                eff = g[0][3]  # a lone version is its own collapse
-            else:
-                eff = collapse([StampedEffect(ct, tid, e) for ct, st, tid, e in g])
-            acc = eff if acc is None else apply(acc, eff)
-        return acc
+            return None if versions is None else _effect_below(versions, read_st)
+
+    def consolidated(self, hi: int) -> tuple[list[str], list[Effect]]:
+        """Every key with a version below hi, ascending, and its effect at hi:
+        what probe(key, hi) gives for each, straight from the version lists."""
+        keys: list[str] = []
+        effs: list[Effect] = []
+        with self._lock:
+            per_key = self._per_key
+            for key in sorted(per_key):
+                eff = _effect_below(per_key[key], hi)
+                if eff is not None:
+                    keys.append(key)
+                    effs.append(eff)
+        return keys, effs
 
     def written_keys(self) -> set[str]:
         with self._lock:
@@ -264,3 +250,38 @@ class MapStore(TxnLifecycleMixin, Store):
     @property
     def sealed(self) -> bool:
         return self._sealed
+
+
+def _effect_below(versions: list[Version], read_st: int) -> Effect | None:
+    """The folded effect of the versions below read_st. A lone version is
+    taken as is. Otherwise walk newest to oldest from the bisect point,
+    cutting once a completed group carries an assignment (anything older is
+    absorbed by it), then fold the groups oldest first."""
+    if len(versions) == 1:
+        v = versions[0]
+        return v[3] if v[0] < read_st else None
+    hi = bisect.bisect_left(versions, read_st, key=lambda v: v[0])
+    if hi == 0:
+        return None
+    groups_newest_first: list[list[Version]] = []
+    group = [versions[hi - 1]]
+    for j in range(hi - 2, -1, -1):
+        newer_st = versions[j + 1][1]
+        older_ct = versions[j][0]
+        if newer_st >= older_ct:  # group boundary
+            groups_newest_first.append(group)
+            if any(v[3].base is not None for v in group):
+                break
+            group = [versions[j]]
+        else:
+            group.append(versions[j])
+    else:
+        groups_newest_first.append(group)
+    acc: Effect | None = None
+    for g in reversed(groups_newest_first):
+        if len(g) == 1:
+            eff = g[0][3]  # a lone version is its own collapse
+        else:
+            eff = collapse([StampedEffect(ct, tid, e) for ct, st, tid, e in g])
+        acc = eff if acc is None else apply(acc, eff)
+    return acc

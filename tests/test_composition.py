@@ -399,6 +399,49 @@ def _same_checkpoint(got: Checkpoint, want: Checkpoint) -> None:
     assert got.entries == want.entries
 
 
+def _lookup_checkpoint(src: MapStore, window: Window) -> Checkpoint:
+    """One lookup per written key: the consolidation make_checkpoint made
+    before it read the version lists directly, kept as its reference."""
+    effects = {key: src.lookup(key, window.hi) for key in src.written_keys()}
+    return Checkpoint({k: e for k, e in effects.items() if e is not None}, window)
+
+
+class TestDirectFlush:
+    def test_matches_one_lookup_per_key(self):
+        """Random sealed memtables: concurrent groups, several versions per
+        key, sums that wrap at +-2^63, and some tops below the newest
+        versions."""
+        rng = random.Random(22)
+        for trial in range(400):
+            (lo, commits), = _random_logs(rng, 1)
+            src = MapStore()
+            for st, ct, writes in commits:
+                src.insert_committed(ct, st, writes)
+            top = max(ct for _, ct, _ in commits) + 1
+            window = Window(lo, top if trial % 4 else rng.randrange(lo, top + 1))
+            src.seal(window)
+            got = make_checkpoint(src, window)
+            want = _lookup_checkpoint(src, window)
+            _same_checkpoint(got, want)
+            assert (got._flags, got._bases, got._deltas) == (
+                want._flags, want._bases, want._deltas)
+
+    def test_pair_flushes_its_memtable(self, tmp_path):
+        wmp = fresh_wmp(tmp_path)
+        for i, (key, eff) in enumerate([("b", Effect.incr(_TOP)), ("a", Effect.assign(3)),
+                                        ("b", Effect.incr(2)), ("a", Effect.incr(-1))]):
+            txn = TransactionDescriptor(f"t{i}", st=i)
+            wmp.do_begin(txn)
+            txn.effect_buffer[key] = eff
+            wmp.do_update(txn, key, eff)
+            txn.ct = i + 1
+            wmp.do_commit(txn)
+        ck = make_checkpoint(wmp, wmp.seal())
+        assert list(ck) == ["a", "b"]
+        assert ck.entries == {"a": Effect(3, -1), "b": Effect(None, _TOP + 2)}
+        wmp.wal.close()
+
+
 class TestFoldCommits:
     def test_each_log_folds_to_the_memtable_checkpoint(self, tmp_path):
         rng = random.Random(20)

@@ -26,7 +26,7 @@ from cobble.engine import (
     replay_manifest,
 )
 from cobble.faults import CrashProcess, FaultPlan, InjectedCrash
-from cobble.oracle import generate_trace, replay, valuation_effect
+from cobble.oracle import Trace, generate_trace, replay, valuation_effect
 from cobble.persistent import PersistentJournal
 from cobble.store import (
     IntegrityError,
@@ -384,6 +384,55 @@ class TestCompaction:
         assert engine.horizon == 2
         engine.close()
 
+    def test_idle_commits_scan_nothing(self, tmp_path, monkeypatch):
+        scans = []
+
+        def counting(name):
+            real = getattr(LevelledStore, name)
+
+            def scan(engine, force):
+                scans.append(name)
+                real(engine, force)
+            return scan
+
+        for name in ("_compact_live_locked", "_compact_levels_locked"):
+            monkeypatch.setattr(LevelledStore, name, counting(name))
+        engine = LevelledStore.create(
+            str(tmp_path / "db"), small_config(live_capacity=1, wmp_rotate_effects=50))
+        for i in range(40):
+            run_txn(engine, f"t{i}", max(0, i - 1), i, [(f"k{i % 7}", Effect.incr(1))])
+        assert scans == []  # no rotation yet: nothing can be due
+        for i in range(40, 60):
+            run_txn(engine, f"t{i}", i - 1, i, [(f"k{i % 7}", Effect.incr(1))])
+        assert engine.stats["rotations"] == 1 and engine.stats["live_checkpoints"] == 1
+        assert scans == ["_compact_live_locked", "_compact_levels_locked"]  # once, at the rotation
+        engine.close()
+
+    def test_work_the_gate_held_back_runs_once_the_snapshot_ends(self, tmp_path):
+        for end in ("commit", "abort"):
+            engine = LevelledStore.create(
+                str(tmp_path / f"db-{end}"), small_config(live_capacity=1, wmp_rotate_effects=2))
+            run_txn(engine, "t0", 0, 0, [("k", Effect.incr(1))])
+            pin = TransactionDescriptor("pin", st=0)
+            engine.do_begin(pin)
+            run_txn(engine, "t1", 0, 1, [("k", Effect.incr(1))])  # rotation waits on the pin
+            engine.do_abort(pin)  # rotates: [0, 2) sealed, its checkpoint now due
+            reader = TransactionDescriptor("reader", st=1)  # needs history below 2
+            engine.do_begin(reader)
+            run_txn(engine, "t2", 1, 2, [("j", Effect.incr(1))])
+            assert engine.stats["live_checkpoints"] == 0  # held back by the gate
+            assert engine.layout()["live"][0][1] == (0, 2)
+            if end == "commit":
+                reader.ct = 3
+                engine.do_commit(reader)
+            else:
+                engine.do_abort(reader)
+                run_txn(engine, "t3", 2, 3, [])  # the next commit, rotating nothing
+            assert engine.stats["live_checkpoints"] == 1, end
+            assert engine.layout()["live"][0][1][0] == 2, end
+            assert effect_at(engine, "k", 4) == (None, 2)
+            engine.close()
+
     def test_bottom_level_may_exceed_capacity(self, tmp_path):
         engine = LevelledStore.create(
             str(tmp_path / "db"),
@@ -400,29 +449,61 @@ class TestCompaction:
 
 
 def _dict_merge(targets, sources):
-    """The level merge on plain dicts: each key of each source (oldest source
-    first) folds into the first target holding it, else into one new
-    residual per source. Untouched targets keep their place; rebuilt and new
-    ones follow, in row order."""
-    row = [(dict(e), w, False) for e, w in targets]
+    """The level merge on plain dicts. A level >= 1 is a list of (entries,
+    window) sorted by key range, ranges disjoint. A source (oldest first)
+    that overlaps no target's range joins the row whole. Otherwise each of
+    its keys goes to the last overlapping target starting at or below it, or
+    to the first overlapping one when none does, and folds in on top (a key
+    the target lacks is added); every target that takes a key gets the
+    union of the two windows."""
+    row = [(dict(e), w) for e, w in targets]
     for entries, window in sources:
-        residual, touched = {}, {}
+        lo, hi = min(entries), max(entries)
+        hit = [i for i, (t, _) in enumerate(row) if min(t) <= hi and lo <= max(t)]
+        if not hit:
+            row.append((dict(entries), window))
+            row.sort(key=lambda tw: min(tw[0]))
+            continue
+        taken = {}
         for key in sorted(entries):
-            for i, (t, _, _) in enumerate(row):
-                if key in t:
-                    touched.setdefault(i, []).append(key)
-                    break
-            else:
-                residual[key] = entries[key]
-        for i, keys in touched.items():
-            t, w, _ = row[i]
+            owner = max([i for i in hit if min(row[i][0]) <= key], default=hit[0])
+            taken.setdefault(owner, []).append(key)
+        for i, keys in taken.items():
+            t, w = row[i]
             t = dict(t)
             for key in keys:
-                t[key] = apply(t[key], entries[key])
-            row[i] = (t, Window(min(w.lo, window.lo), max(w.hi, window.hi)), True)
-        if residual:
-            row.append((residual, window, True))
-    return [(e, w) for e, w, f in row if not f] + [(e, w) for e, w, f in row if f]
+                t[key] = apply(t[key], entries[key]) if key in t else entries[key]
+            row[i] = (t, Window(min(w.lo, window.lo), max(w.hi, window.hi)))
+    return row
+
+
+def assert_sorted_disjoint(engine):
+    """Every level >= 1 is sorted by key range with disjoint ranges, each
+    checkpoint's range is its first and last key, and the starts the lookup
+    bisects match the level."""
+    _, levels, starts = engine._layout
+    for lvl in range(1, len(levels)):
+        row = levels[lvl]
+        for ck in row:
+            keys = list(ck)
+            assert keys and ck.key_range == (keys[0], keys[-1]), (lvl, ck.path)
+        assert starts[lvl] == tuple(ck.key_range[0] for ck in row), lvl
+        for left, right in zip(row, row[1:]):
+            assert left.key_range[1] < right.key_range[0], (lvl, left.path, right.path)
+
+
+def checking_merges(monkeypatch) -> dict:
+    """Check every level after each level merge; returns merges per level."""
+    counts: dict[int, int] = {}
+    real = LevelledStore._merge_down_locked
+
+    def merge(engine, level, sources):
+        real(engine, level, sources)
+        counts[level] = counts.get(level, 0) + 1
+        assert_sorted_disjoint(engine)
+
+    monkeypatch.setattr(LevelledStore, "_merge_down_locked", merge)
+    return counts
 
 
 class TestPackedMerge:
@@ -435,16 +516,18 @@ class TestPackedMerge:
         return Effect.assign(v) if rng.random() < 0.4 else Effect.incr(v)
 
     def test_level_merge_matches_dict_fold(self, tmp_path):
+        pool = sorted(self.POOL)
         for seed in range(25):
             rng = random.Random(seed)
             d = str(tmp_path / f"db{seed}")
             cfg = small_config(level_capacities=(1 << 30, 1 << 30, 1 << 30))
             engine = LevelledStore.create(d, cfg)
-            free = list(self.POOL)
-            rng.shuffle(free)
             targets = []
-            for i in range(rng.randint(0, 3)):  # disjoint, as at any level >= 1
-                keys, free = free[:rng.randint(1, 12)], free[12:]
+            n = rng.randint(0, 3)
+            cuts = sorted(rng.sample(range(len(pool) + 1), 2 * n))
+            for i in range(n):  # disjoint ranges with holes, as at any level >= 1
+                span = pool[cuts[2 * i]:cuts[2 * i + 1]]
+                keys = rng.sample(span, rng.randint(1, min(12, len(span))))
                 targets.append(({k: self._effect(rng) for k in keys}, Window(10 * i, 10 * i + 10)))
             sources = [({k: self._effect(rng) for k in rng.sample(self.POOL, rng.randint(1, 20))},
                         Window(100 + 10 * i, 110 + 10 * i)) for i in range(rng.randint(1, 3))]
@@ -461,14 +544,15 @@ class TestPackedMerge:
                                               ck.key_range if level else None))
             with engine._mutex:
                 engine._manifest_commit_locked(adds)
-                live, levels = engine._layout
-                engine._layout = (live, (tuple(cks[0]), tuple(cks[1])) + levels[2:])
+                live, levels, _ = engine._layout
+                engine._set_layout_locked(live, (tuple(cks[0]), tuple(cks[1])) + levels[2:])
                 engine._merge_down_locked(0, cks[0])
 
             want_row = _dict_merge(targets, sources)
             got_row = [(ck.entries, ck.window) for ck in engine._layout[1][1]]
             assert got_row == want_row, seed
             assert engine._layout[1][0] == ()
+            assert_sorted_disjoint(engine)
 
             top = max(w.hi for _, w in sources)
             want = {}
@@ -481,9 +565,11 @@ class TestPackedMerge:
             back, _ = recover_engine(d, cfg)
             for key in self.POOL:
                 assert back.lookup(key, top) == want.get(key), (seed, key)
+            assert_sorted_disjoint(back)
             back.close()
 
-    def test_random_traces_through_many_merges_match_oracle(self, tmp_path):
+    def test_random_traces_through_many_merges_match_oracle(self, tmp_path, monkeypatch):
+        merges = checking_merges(monkeypatch)
         for seed in range(4):
             d = str(tmp_path / f"db{seed}")
             cfg = small_config(live_capacity=1, wmp_rotate_effects=3,
@@ -496,8 +582,91 @@ class TestPackedMerge:
             check_against_oracle(engine, trace)
             engine.close()
             back, _ = recover_engine(d, cfg)
+            assert_sorted_disjoint(back)
             check_against_oracle(back, trace)
             back.close()
+        assert merges[0] and merges[1]
+
+    def test_multi_level_random_traces_match_oracle(self, tmp_path, monkeypatch):
+        """Four levels, outputs split at twice the rotation size, a forced
+        compaction now and then, and a reopen halfway with more commits
+        after it."""
+        merges = checking_merges(monkeypatch)
+        keys = [f"k{i:03d}" for i in range(0, 120, 3)] + ["\u00e9", "\U00010000"]
+        for seed in range(4):
+            d = str(tmp_path / f"db{seed}")
+            cfg = small_config(max_levels=4, live_capacity=1, wmp_rotate_effects=4,
+                               level_capacities=(1, 2, 2, 1 << 30))
+            trace = generate_trace(seed=100 + seed, keys=keys, txn_count=240,
+                                   max_concurrency=1, eager_notify=True)
+            half = next(i for i, step in enumerate(trace.steps)
+                        if step.op == "begin" and i >= len(trace.steps) // 2)
+
+            def quiesce(store, committed, strong):
+                if committed % 50 == 49:
+                    store.compact(force=True)
+
+            engine = LevelledStore.create(d, cfg)
+            replay(engine, Trace(trace.steps[:half]), quiesce=quiesce)
+            engine.close()
+            engine, _ = recover_engine(d, cfg)
+            assert_sorted_disjoint(engine)
+            replay(engine, Trace(trace.steps[half:]), quiesce=quiesce)
+            check_against_oracle(engine, trace)
+            engine.close()
+            back, _ = recover_engine(d, cfg)
+            assert_sorted_disjoint(back)
+            check_against_oracle(back, trace)
+            top = trace.max_ct() + 1
+            for key in keys:
+                back.reset_probes()
+                back.lookup(key, top)
+                assert all(back.probes[lvl] <= 1 for lvl in range(1, 4)), (seed, key)
+            back.close()
+        assert all(merges.get(level) for level in range(3)), merges
+
+    def test_merge_without_overlap_moves_the_source_whole(self, tmp_path, monkeypatch):
+        cfg = small_config(max_levels=2, level_capacities=(1 << 30, 1 << 30))
+        engine = LevelledStore.create(str(tmp_path / "db"), cfg)
+        run_txn(engine, "a", 0, 0, [(f"a{i:02d}", Effect.assign(i)) for i in range(40)])
+        run_txn(engine, "z", 0, 1, [(f"z{i:02d}", Effect.incr(i)) for i in range(40)])
+        engine.compact(force=True)
+        assert [len(ck) for ck in engine._layout[1][1]] == [80]
+        run_txn(engine, "m", 1, 2, [(f"m{i:02d}", Effect.assign(i)) for i in range(40)])
+        engine.compact(force=True)  # a00..z39 now overlaps: folds in
+        run_txn(engine, "n", 2, 3, [("zz", Effect.assign(1)), ("zzz", Effect.assign(2))])
+        with engine._mutex:  # checkpoint the pair, but merge nothing yet
+            engine._rotate_locked()
+            engine._compact_live_locked(force=True)
+        (source,) = engine._layout[1][0]
+        with open(os.path.join(engine.directory, source.path), "rb") as f:
+            source_bytes = f.read()
+        calls = {"contains": 0, "fold": 0}
+        real_contains, real_fold = Checkpoint.__contains__, Checkpoint.fold
+
+        def contains(ck, key):
+            calls["contains"] += 1
+            return real_contains(ck, key)
+
+        def fold(ck, newer, window):
+            calls["fold"] += 1
+            return real_fold(ck, newer, window)
+
+        monkeypatch.setattr(Checkpoint, "__contains__", contains)
+        monkeypatch.setattr(Checkpoint, "fold", fold)
+        engine.compact(force=True)
+        assert calls == {"contains": 0, "fold": 0}
+        row = engine._layout[1][1]
+        assert [ck.key_range for ck in row] == [("a00", "z39"), ("zz", "zzz")]
+        assert row[1] is source  # the same checkpoint and file, now at level 1
+        with open(os.path.join(engine.directory, source.path), "rb") as f:
+            assert f.read() == source_bytes
+        engine.close()
+        back, floor = recover_engine(engine.directory, cfg)
+        assert [ck.key_range for ck in back._layout[1][1]] == [("a00", "z39"), ("zz", "zzz")]
+        assert effect_at(back, "zzz", floor + 1) == (2, 0)
+        assert effect_at(back, "m07", floor + 1) == (7, 0)
+        back.close()
 
 
 class TestManifest:
@@ -717,6 +886,73 @@ class TestRecovery:
             engine.close()
 
 
+def _manifest_of(d: str, entries: list[ManifestEntry]) -> None:
+    """Write a MANIFEST holding entries as one committed batch."""
+    os.makedirs(d, exist_ok=True)
+    j = PersistentJournal(os.path.join(d, "MANIFEST"))
+    txn = TransactionDescriptor("m0", st=0, ct=0)
+    j.do_begin(txn)
+    for e in entries:
+        j.append_manifest(txn, encode_manifest_entry(e))
+    j.do_commit(txn)
+    j.close()
+
+
+class TestLevelChecksOnOpen:
+    """A level >= 1 must be sorted by disjoint key ranges, recorded in the
+    MANIFEST; an open that finds otherwise changes no file."""
+
+    @staticmethod
+    def _l1(path, key_range, lo=0):
+        return ManifestEntry(ManifestAction.ADD, 1, path, Window(lo, lo + 5), key_range)
+
+    def _refused(self, d, *names):
+        before = _files(d)
+        for _ in range(2):
+            with pytest.raises(IntegrityError) as exc:
+                recover_engine(d, small_config())
+            assert all(name in str(exc.value) for name in names), exc.value
+            assert _files(d) == before
+
+    def test_overlapping_ranges_name_both_checkpoints(self, tmp_path):
+        d = str(tmp_path / "db")
+        _manifest_of(d, [self._l1("ckpt-1-0-5-1.cb", ("a", "f")),
+                         self._l1("ckpt-1-5-10-2.cb", ("p", "z"), 5),
+                         self._l1("ckpt-1-10-15-3.cb", ("c", "m"), 10)])
+        self._refused(d, "ckpt-1-0-5-1.cb", "ckpt-1-10-15-3.cb")
+
+    def test_shared_bound_counts_as_overlap(self, tmp_path):
+        d = str(tmp_path / "db")
+        _manifest_of(d, [self._l1("ckpt-1-0-5-1.cb", ("a", "f")),
+                         self._l1("ckpt-1-5-10-2.cb", ("f", "z"), 5)])
+        self._refused(d, "ckpt-1-0-5-1.cb", "ckpt-1-5-10-2.cb")
+
+    def test_entry_without_key_range_is_named(self, tmp_path):
+        d = str(tmp_path / "db")
+        _manifest_of(d, [self._l1("ckpt-1-0-5-1.cb", ("a", "f")),
+                         self._l1("ckpt-1-5-10-2.cb", None, 5)])
+        self._refused(d, "ckpt-1-5-10-2.cb")
+
+    def test_recorded_range_must_match_the_file(self, tmp_path):
+        d = str(tmp_path / "db")
+        os.makedirs(d)
+        for name, keys, lo in (("ckpt-1-0-5-1.cb", "ab", 0), ("ckpt-1-5-10-2.cb", "pq", 5)):
+            Checkpoint({k: Effect.assign(1) for k in keys}, Window(lo, lo + 5)).persist(
+                os.path.join(d, name))
+        _manifest_of(d, [self._l1("ckpt-1-5-10-2.cb", ("p", "q"), 5),
+                         self._l1("ckpt-1-0-5-1.cb", ("a", "b"))])
+        engine, _ = recover_engine(d, small_config())
+        assert [p for p, _, _ in engine.layout()["levels"][1]] == [
+            "ckpt-1-0-5-1.cb", "ckpt-1-5-10-2.cb"]  # key order, not MANIFEST order
+        engine.close()
+        d2 = str(tmp_path / "db2")
+        shutil.copytree(d, d2)
+        os.remove(os.path.join(d2, "MANIFEST"))
+        _manifest_of(d2, [self._l1("ckpt-1-0-5-1.cb", ("a", "c")),
+                          self._l1("ckpt-1-5-10-2.cb", ("p", "q"), 5)])
+        self._refused(d2, "ckpt-1-0-5-1.cb")
+
+
 def _engine_with_live_pairs(d: str, cfg: EngineConfig, txns: int = 32) -> dict:
     """Commit txns of two writes each and close; returns {key: effect} at
     the latest snapshot, read before the close."""
@@ -813,6 +1049,37 @@ class TestRecoveryFold:
             assert engine.layout() == ref_layout
             assert {k: effect_at(engine, k, floor + 1) for k in keys} == ref_reads
             engine.close()
+
+
+    def test_bad_last_frame_of_a_rotated_log_raises(self, tmp_path):
+        d = str(tmp_path / "db")
+        cfg = EngineConfig(wmp_rotate_effects=2)
+        engine = LevelledStore.create(d, cfg)
+        for i in range(7):
+            run_txn(engine, f"t{i}", max(0, i - 1), i, [("k", Effect.incr(1))])
+        engine.close()
+        assert sorted(n for n in os.listdir(d) if n.startswith("wal-")) == [
+            "wal-0.log", "wal-2.log", "wal-4.log", "wal-6.log"]
+        good = _files(d)
+        faults.corrupt_file(os.path.join(d, "wal-0.log"), -6, 1)
+        before = _files(d)
+        for _ in range(2):
+            with pytest.raises(IntegrityError, match="wal-0.log"):
+                open_engine(d, cfg)
+            assert _files(d) == before
+
+        # the same damage on the trailing log is a torn tail: cut, and the
+        # commit in it is lost
+        with open(os.path.join(d, "wal-0.log"), "wb") as f:
+            f.write(good["wal-0.log"])
+        faults.corrupt_file(os.path.join(d, "wal-6.log"), -6, 1)
+        layouts = []
+        for _ in range(2):
+            engine, floor = open_engine(d, cfg)
+            assert effect_at(engine, "k", floor + 1) == (None, 6)
+            layouts.append(engine.layout())
+            engine.close()
+        assert layouts[1] == layouts[0]
 
 
 class TestLiveThreaded:

@@ -18,7 +18,7 @@ from cobble.bench import (
 )
 from cobble.cli import build_parser, main, verify_seed
 from cobble.effects import Effect
-from cobble.engine import EngineConfig, LevelledStore
+from cobble.engine import EngineConfig, LevelledStore, first_overlap
 from cobble.memory import MapStore
 from cobble.server import LineProtocolServer, handle_line
 from cobble.store import TransactionDescriptor, TransactionError
@@ -375,8 +375,13 @@ class TestCli:
         out = capsys.readouterr().out
         rows = [line.split() for line in out.splitlines() if line.startswith("  L")]
         entries_seen = 0
-        for level in {r[0] for r in rows if r[0] != "live"}:
-            files = [r for r in rows if r[0] == level and r[1] != "total"]
+        levels = {r[0] for r in rows if r[0] != "live"}
+        assert "L1" in levels
+        for level in levels - {"L0"}:  # one verdict line per level >= 1
+            assert [r for r in rows if r[0] == level and r[1] == "disjoint"] == [
+                [level, "disjoint"]]
+        for level in levels:
+            files = [r for r in rows if r[0] == level and r[1] not in ("total", "disjoint")]
             sizes = [os.path.getsize(os.path.join(d, r[1])) for r in files]
             counts = [int(r[r.index("entries") - 1]) for r in files]
             assert [int(r[r.index("B") - 1]) for r in files] == sizes
@@ -385,6 +390,9 @@ class TestCli:
                                  "entries", str(sum(sizes)), "B"]
             entries_seen += sum(counts)
         assert entries_seen == 12  # twelve distinct keys, each in one checkpoint
+        assert first_overlap([("x", ("a", "c")), ("y", ("d", "f"))]) is None
+        assert first_overlap([("x", ("a", "c")), ("y", ("c", "f")), ("z", ("g", "h"))]) == (
+            "x", "y")
 
     def test_recover_command_fails_cleanly(self, tmp_path, capsys):
         assert main(["recover", "--dir", str(tmp_path / "empty")]) == 1

@@ -268,7 +268,9 @@ class LevelledStore(Store):
         return wmp
 
     def do_update(self, txn: TransactionDescriptor, key: str, effect: Effect) -> None:
-        self._pinned(txn).do_update(txn, key, effect)
+        # the effect rides in the descriptor's buffer until commit, and a pin
+        # exists only while the txn is active: nothing else to check or keep
+        self._pinned(txn)
 
     def do_commit(self, txn: TransactionDescriptor) -> None:
         wmp = self._pinned(txn)

@@ -2,7 +2,10 @@
 
 Both speak the same Store protocol and must agree with each other (and with
 the reference valuation) at every (key, read_st); their read paths are kept
-deliberately independent so tests can cross-check them.
+deliberately independent so tests can cross-check them. The journal groups
+and collapses concurrent versions on every read (consolidate_forward); the
+map keeps each key's running fold as commits arrive, so a read above a key's
+newest version is one dict lookup.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 import bisect
 import threading
 
-from .effects import Effect, StampedEffect, apply, collapse
+from .effects import Effect, StampedEffect, apply, collapse, effect_from_i64, wrap_i64
 from .store import (
     JournalRecord,
     RecordKind,
@@ -25,6 +28,12 @@ from .store import (
 
 # A committed version is (ct, st, txn_id, effect); lists stay sorted by ct.
 Version = tuple[int, int, str, Effect]
+# A key's running fold: (last ct, the open group's increments, the effect).
+Fold = tuple[int, int, Effect]
+
+
+def _ct(v: Version) -> int:
+    return v[0]
 
 
 def consolidate_forward(versions: list[Version]) -> Effect | None:
@@ -165,16 +174,23 @@ class JournalStore(TxnLifecycleMixin, Store):
 
 
 class MapStore(TxnLifecycleMixin, Store):
-    """Per-key sorted version lists; the fastest of the basic stores to read.
+    """Per-key sorted version lists plus each key's running fold; the fastest
+    of the basic stores to read.
 
     Writes stay buffered in the transaction until commit, when the whole
-    batch is inserted atomically with respect to readers.
+    batch is inserted atomically with respect to readers. A key with two or
+    more versions also keeps its fold over all of them, (last ct, the open
+    group's increments, effect), the state composition.fold_commits keeps;
+    each commit replaces it whole. A lone version is its own fold. A read
+    above a key's newest ct returns the fold, and so does the flush of a
+    sealed map; only a read inside a key's history walks its versions.
     """
 
     def __init__(self):
         self._lifecycle_init()
         self._lock = threading.Lock()
         self._per_key: dict[str, list[Version]] = {}
+        self._folds: dict[str, Fold] = {}
         self._sealed = False
         self.window: Window | None = None
 
@@ -199,13 +215,33 @@ class MapStore(TxnLifecycleMixin, Store):
                          txn_id: str = "") -> None:
         """Insert one committed transaction's folded writes, atomically with
         respect to readers. rebuild_wmp calls it directly: a version's txn id
-        never changes a read, because commit timestamps are unique."""
+        never changes a read, because commit timestamps are unique.
+
+        A version above the key's newest is appended and takes one fold
+        step. One that arrives out of ct order (rebuild_wmp replays log
+        order) is inserted in place, and the key is folded again in ct
+        order."""
         with self._lock:
             if self._sealed:
                 raise StoreError("commit on a sealed map")
+            per_key = self._per_key
+            folds = self._folds
             for key, eff in writes.items():
-                versions = self._per_key.setdefault(key, [])
-                bisect.insort(versions, (ct, st, txn_id, eff), key=lambda v: v[0])
+                version = (ct, st, txn_id, eff)
+                versions = per_key.get(key)
+                if versions is None:
+                    per_key[key] = [version]
+                    continue
+                if ct > versions[-1][0]:
+                    fold = folds.get(key)
+                    if fold is None:
+                        fold = _lone(versions[0])
+                    versions.append(version)
+                    folds[key] = _step(fold, ct, st, eff)
+                else:
+                    # key=: a repeated ct must not go on to compare Effects
+                    bisect.insort(versions, version, key=_ct)
+                    folds[key] = _fold(versions, 0, len(versions))
 
     def do_abort(self, txn: TransactionDescriptor) -> None:
         self._txn_check_active(txn.txn_id)
@@ -217,25 +253,48 @@ class MapStore(TxnLifecycleMixin, Store):
         return self.probe(key, read_st)
 
     def probe(self, key: str, read_st: int) -> Effect | None:
-        """lookup without the key check, for a caller that made it already."""
+        """lookup without the key check, for a caller that made it already.
+
+        Above the key's newest version this takes no lock: a fold is
+        replaced whole, and a commit in ct order only appends, so the read
+        sees the key as it was before that commit or after it."""
+        versions = self._per_key.get(key)
+        if versions is None:
+            return None
+        fold = self._folds.get(key)
+        if fold is None:  # a lone version is its own fold
+            ct, _, _, eff = versions[0]
+            return eff if ct < read_st else None
+        if fold[0] < read_st:
+            return fold[2]
         # the walk holds the lock because a concurrent insort below the
         # bisect point would shift the indices it walks
         with self._lock:
-            versions = self._per_key.get(key)
-            return None if versions is None else _effect_below(versions, read_st)
+            return _effect_below(versions, read_st)
 
     def consolidated(self, hi: int) -> tuple[list[str], list[Effect]]:
         """Every key with a version below hi, ascending, and its effect at hi:
-        what probe(key, hi) gives for each, straight from the version lists."""
+        what probe(key, hi) gives for each, from the folds, or from the
+        version lists where hi lies inside a key's history."""
         keys: list[str] = []
         effs: list[Effect] = []
         with self._lock:
             per_key = self._per_key
+            folds = self._folds
             for key in sorted(per_key):
-                eff = _effect_below(per_key[key], hi)
-                if eff is not None:
-                    keys.append(key)
-                    effs.append(eff)
+                fold = folds.get(key)
+                if fold is None:
+                    ct, _, _, eff = per_key[key][0]
+                    if ct >= hi:
+                        continue
+                elif fold[0] < hi:
+                    eff = fold[2]
+                else:
+                    eff = _effect_below(per_key[key], hi)
+                    if eff is None:
+                        continue
+                keys.append(key)
+                effs.append(eff)
         return keys, effs
 
     def written_keys(self) -> set[str]:
@@ -252,36 +311,57 @@ class MapStore(TxnLifecycleMixin, Store):
         return self._sealed
 
 
+def _lone(version: Version) -> Fold:
+    """The fold of a lone version."""
+    ct, _, _, eff = version
+    return ct, 0 if eff.base is not None else eff.delta, eff
+
+
+def _step(fold: Fold, ct: int, st: int, eff: Effect) -> Fold:
+    """fold with one newer version (ct, st, eff) on top: the step of
+    composition.fold_commits. The version starts a new group when its st
+    is at or above the last ct. An increment adds to the effect and to the
+    open group's increments; an assignment replaces the effect, plus the
+    open group's earlier increments. That is the group's collapse: the
+    max-ct assignment wins, and every increment of the group survives on
+    top of it."""
+    last_ct, incr, acc = fold
+    if st >= last_ct:
+        incr = 0
+    if eff.base is None:
+        return (ct, incr + eff.delta,
+                effect_from_i64(acc.base, wrap_i64(acc.delta + eff.delta)))
+    if incr:
+        return ct, incr, effect_from_i64(eff.base, wrap_i64(eff.delta + incr))
+    return ct, 0, eff
+
+
+def _fold(versions: list[Version], lo: int, hi: int) -> Fold:
+    """The fold of versions[lo:hi], where versions[lo] starts a group."""
+    fold = _lone(versions[lo])
+    for i in range(lo + 1, hi):
+        ct, st, _, eff = versions[i]
+        fold = _step(fold, ct, st, eff)
+    return fold
+
+
 def _effect_below(versions: list[Version], read_st: int) -> Effect | None:
-    """The folded effect of the versions below read_st. A lone version is
-    taken as is. Otherwise walk newest to oldest from the bisect point,
-    cutting once a completed group carries an assignment (anything older is
-    absorbed by it), then fold the groups oldest first."""
-    if len(versions) == 1:
-        v = versions[0]
-        return v[3] if v[0] < read_st else None
-    hi = bisect.bisect_left(versions, read_st, key=lambda v: v[0])
+    """The folded effect of the versions below read_st, for a read inside a
+    key's history. Walk back from the bisect point to the start of the
+    newest group that holds an assignment, which absorbs everything older,
+    or to the first version, and fold forward from there."""
+    # (read_st,) sorts before every version at or above read_st; commit
+    # timestamps are unique, so no two Effects are ever compared
+    hi = bisect.bisect_left(versions, (read_st,))
     if hi == 0:
         return None
-    groups_newest_first: list[list[Version]] = []
-    group = [versions[hi - 1]]
-    for j in range(hi - 2, -1, -1):
-        newer_st = versions[j + 1][1]
-        older_ct = versions[j][0]
-        if newer_st >= older_ct:  # group boundary
-            groups_newest_first.append(group)
-            if any(v[3].base is not None for v in group):
-                break
-            group = [versions[j]]
-        else:
-            group.append(versions[j])
-    else:
-        groups_newest_first.append(group)
-    acc: Effect | None = None
-    for g in reversed(groups_newest_first):
-        if len(g) == 1:
-            eff = g[0][3]  # a lone version is its own collapse
-        else:
-            eff = collapse([StampedEffect(ct, tid, e) for ct, st, tid, e in g])
-        acc = eff if acc is None else apply(acc, eff)
-    return acc
+    lo = 0
+    assigned = False
+    for j in range(hi - 1, 0, -1):
+        _, st, _, eff = versions[j]
+        if eff.base is not None:
+            assigned = True
+        if assigned and st >= versions[j - 1][0]:  # j starts the group
+            lo = j
+            break
+    return _fold(versions, lo, hi)[2]

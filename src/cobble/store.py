@@ -115,7 +115,8 @@ class Store(ABC):
     def lookup(self, key: str, read_st: int,
                txn: TransactionDescriptor | None = None) -> Effect | None:
         """Consolidated effect of all commits on key with ct < read_st,
-        or None when no committed write is visible."""
+        or None when no committed write is visible. Checks the key with
+        check_key; the transaction coordinator relies on that for reads."""
 
     @abstractmethod
     def do_update(self, txn: TransactionDescriptor, key: str, effect: Effect) -> None: ...

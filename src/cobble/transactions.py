@@ -59,11 +59,10 @@ class TransactionCoordinator:
     def read(self, key: str) -> int:
         """Value of key at this transaction's snapshot plus its own writes."""
         self._check_active()
-        check_key(key)
         txn = self.txn
         if key not in txn.init_set:
             # pin the store-side state once; later reads stay stable even as
-            # other transactions commit
+            # other transactions commit. The store's lookup checks the key.
             txn.read_buffer[key] = self.manager.store.lookup(key, txn.st, txn)
             txn.init_set.add(key)
         base = txn.read_buffer[key]
@@ -174,8 +173,7 @@ class TransactionManager:
 
     def read_at(self, key: str, read_st: int) -> int:
         """Value of key at an arbitrary past snapshot, no transaction state."""
-        check_key(key)
-        eff = self.store.lookup(key, read_st)
+        eff = self.store.lookup(key, read_st)  # which checks the key
         return 0 if eff is None else evaluate(eff, 0)
 
     @property

@@ -17,6 +17,7 @@ from cobble.composition import (
     make_checkpoint,
     rebuild_wmp,
 )
+import cobble.memory
 from cobble.effects import Effect, apply
 from cobble.memory import JournalStore, MapStore
 from cobble.oracle import generate_trace, replay, valuation_effect
@@ -491,3 +492,107 @@ class TestFoldCommits:
         assert len(fold_commits([(0, 1, [])], Window(0, 2))) == 0
         with pytest.raises(StoreError):
             fold_commits(commits, Window(0, None))
+
+
+def _random_memtable(rng: random.Random):
+    """(lo, commits in ct order, the same commits in arrival order), commits
+    as (st, ct, {key: effect}). Half the commits start at the previous ct
+    (a new group); the rest start anywhere from lo - 1 up, which makes
+    concurrent groups. One to eight keys give lone versions as well as long
+    lists, and a few commits arrive out of ct order."""
+    lo = prev = rng.randrange(3)
+    commits = []
+    n_keys = rng.randrange(1, 9)
+    for _ in range(rng.randrange(1, 40)):
+        ct = prev + rng.randrange(1, 3)
+        st = prev if rng.random() < 0.5 else rng.randrange(max(lo - 1, 0), ct)
+        writes = {f"k{rng.randrange(n_keys)}": _random_effect(rng)
+                  for _ in range(rng.choice([0, 1, 1, 2, 3]))}
+        commits.append((st, ct, writes))
+        prev = ct
+    arrival = list(commits)
+    for _ in range(rng.randrange(4)):
+        i, j = rng.randrange(len(arrival)), rng.randrange(len(arrival))
+        arrival[i], arrival[j] = arrival[j], arrival[i]
+    return lo, commits, arrival
+
+
+def _fed(arrival) -> tuple[MapStore, JournalStore]:
+    """A map and a journal fed the same commits in the same order."""
+    store, journal = MapStore(), JournalStore()
+    for i, (st, ct, writes) in enumerate(arrival):
+        store.insert_committed(ct, st, writes, f"t{i}")
+        txn = TransactionDescriptor(f"t{i}", st=st)
+        journal.do_begin(txn)
+        for key, eff in writes.items():
+            journal.do_update(txn, key, eff)
+        txn.ct = ct
+        journal.do_commit(txn)
+    return store, journal
+
+
+class TestMemtableFold:
+    def test_probe_matches_the_walk_and_the_journal_at_every_snapshot(self):
+        rng = random.Random(23)
+        for _ in range(200):
+            lo, commits, arrival = _random_memtable(rng)
+            store, journal = _fed(arrival)
+            top = commits[-1][1] + 1
+            for key, versions in store._per_key.items():
+                for read_st in range(lo, top + 2):
+                    want = journal.lookup(key, read_st)
+                    assert cobble.memory._effect_below(versions, read_st) == want
+                    assert store.probe(key, read_st) == want, (key, read_st)
+
+    def test_each_fold_is_fold_commits_at_the_top(self):
+        rng = random.Random(24)
+        lone = multi = 0
+        for _ in range(300):
+            lo, commits, arrival = _random_memtable(rng)
+            store, _ = _fed(arrival)
+            top = commits[-1][1] + 1
+            flat = [(st, ct, [(k, e.base, e.delta) for k, e in writes.items()])
+                    for st, ct, writes in commits]
+            want = fold_commits(flat, Window(lo, top)).entries
+            assert set(store._per_key) == set(want)
+            for key, versions in store._per_key.items():
+                fold = store._folds.get(key)
+                if len(versions) == 1:  # a lone version is its own fold
+                    lone += 1
+                    assert fold is None
+                    assert versions[0][3] == want[key]
+                    continue
+                multi += 1
+                assert fold[0] == versions[-1][0]
+                assert fold[2] == want[key]
+                # the folds kept commit by commit equal one fold in ct order
+                assert fold == cobble.memory._fold(versions, 0, len(versions))
+        assert lone and multi
+
+    def test_a_read_above_the_newest_version_does_not_walk(self, monkeypatch):
+        walks = []
+        real = cobble.memory._effect_below
+
+        def counting(versions, read_st):
+            walks.append(read_st)
+            return real(versions, read_st)
+
+        monkeypatch.setattr(cobble.memory, "_effect_below", counting)
+        rng = random.Random(25)
+        for _ in range(100):
+            lo, commits, arrival = _random_memtable(rng)
+            store, journal = _fed(arrival)
+            top = commits[-1][1] + 1
+            for key, versions in store._per_key.items():
+                for read_st in range(versions[-1][0] + 1, top + 2):
+                    assert store.probe(key, read_st) == journal.lookup(key, read_st)
+            store.consolidated(top)
+            assert walks == []
+            for key, versions in store._per_key.items():  # inside the history
+                if len(versions) > 1:
+                    store.probe(key, versions[-1][0])
+            window = Window(lo, top)
+            store.seal(window)
+            make_checkpoint(store, window)
+            assert walks == [vs[-1][0] for vs in store._per_key.values() if len(vs) > 1]
+            walks.clear()

@@ -11,6 +11,7 @@ import pytest
 import cobble.composition
 import cobble.engine
 import cobble.memory
+import cobble.transactions
 from cobble import codec, faults
 from cobble.composition import Checkpoint
 from cobble.effects import Effect, apply
@@ -229,6 +230,58 @@ class TestLookupPath:
         assert engine.probe_total() > len(keys)  # inner stores were probed
         with pytest.raises(StoreError):
             engine.lookup("", engine.last_committed_ct + 1)
+        engine.close()
+
+    def test_key_checked_once_per_manager_op(self, tmp_path, monkeypatch):
+        """One check_key call per update, read_at and first read of a key
+        in a transaction made through TransactionManager over the engine,
+        with reads that reach the live pairs, L0 and L1; a read the
+        transaction has already pinned reaches no store and checks
+        nothing."""
+        engine = LevelledStore.create(
+            str(tmp_path / "db"), small_config(wmp_rotate_effects=3))
+        manager = TransactionManager(engine)
+        calls = []
+        real = cobble.engine.check_key
+
+        def counting(key):
+            calls.append(key)
+            real(key)
+
+        for module in (cobble.transactions, cobble.engine, cobble.memory,
+                       cobble.composition):
+            monkeypatch.setattr(module, "check_key", counting)
+        want = []
+        rng = random.Random(26)
+        for i in range(40):
+            coord = manager.begin_txn()
+            read = set()
+            for _ in range(4):
+                key = f"k{rng.randrange(12)}"
+                if rng.random() < 0.5:
+                    coord.read(key)
+                    if key in read:
+                        continue
+                    read.add(key)
+                elif rng.random() < 0.5:
+                    coord.incr(key, 1)
+                else:
+                    coord.assign(key, i)
+                want.append(key)
+            assert coord.commit().committed
+            key = f"k{rng.randrange(12)}"
+            manager.read_at(key, max(engine.horizon, manager.last_commit_ts - 2))
+            want.append(key)
+        assert calls == want
+        assert engine.stats["level_merges"] and engine.layout()["levels"][1]
+        for op in (lambda c: c.read(""), lambda c: c.incr("", 1),
+                   lambda c: c.assign("a\x00b", 1)):
+            coord = manager.begin_txn()
+            with pytest.raises(StoreError):
+                op(coord)
+            coord.abort()
+        with pytest.raises(StoreError):
+            manager.read_at("", manager.last_commit_ts + 1)
         engine.close()
 
 

@@ -1,7 +1,9 @@
 """In-memory journal and map stores: contract, pinned histories, and
 cross-implementation agreement with the reference valuation."""
 
+import sys
 import threading
+import time
 
 import pytest
 
@@ -185,6 +187,60 @@ class TestMapSharedState:
         a.start(), b.start(), a.join(), b.join()
         # all 100 increments visible past the end
         assert eff_tuple(store, "k", 1000) == (None, 100)
+
+    def test_reads_during_commits_see_each_commit_whole(self):
+        """One writer commits in ct order, as the engine's commit mutex has
+        it, while more readers than cores probe without the map's lock: at
+        the newest finished commit's snapshot a read sees exactly the
+        commits below it, above every commit it sees a prefix of them, and
+        inside the history it walks a list that is still growing. Each
+        round stops after 2,000 commits or 2 s, whichever comes first."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                store = MapStore()
+                done = [0]  # the ct of the newest commit whose insert returned
+                stop = threading.Event()
+                errors: list = []
+
+                def writer():
+                    deadline = time.monotonic() + 2
+                    for ct in range(1, 2001):
+                        # k counts the commits; a holds the newest ct, so a
+                        # read inside its history walks back one group
+                        store.insert_committed(ct, ct - 1 - ct % 2,
+                                               {"k": Effect.incr(1), "a": Effect.assign(ct)})
+                        done[0] = ct
+                        if time.monotonic() > deadline:
+                            break
+                    stop.set()
+
+                def reader():
+                    while not stop.is_set():
+                        seen = done[0]
+                        at = store.probe("k", seen + 1)
+                        if (at.delta if at else 0) != seen:
+                            errors.append(("at", seen, at))
+                        above = store.probe("k", 1 << 62)  # one insert may be unpublished
+                        if not seen <= (above.delta if above else 0) <= done[0] + 1:
+                            errors.append(("above", seen, above))
+                        inside = store.probe("a", seen // 2 + 1)
+                        if (inside.base if inside else 0) != seen // 2:
+                            errors.append(("inside", seen, inside))
+
+                threads = [threading.Thread(target=reader) for _ in range(4)]
+                threads.append(threading.Thread(target=writer))
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+                assert errors == []
+                assert done[0] > 0
+                assert eff_tuple(store, "k", done[0] + 1) == (None, done[0])
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestPinnedHistories:

@@ -15,7 +15,6 @@ _I64_SIGN = 1 << 63
 _U64_MASK = (1 << 64) - 1
 
 # instrumentation: bumped when a multi-member concurrent set is collapsed.
-# Used to assert that level compaction never merges across stores.
 counters = {"multi_collapse": 0}
 
 

@@ -34,7 +34,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import IntEnum
 
-from . import codec, effects, faults
+from . import codec, faults
 from .composition import Checkpoint, WALMemtablePair, fold_commits, make_checkpoint
 # recovery no longer calls rebuild_wmp; perfbench/spans.py still wraps it by
 # this name
@@ -186,7 +186,7 @@ class LevelledStore(Store):
         self.probes: dict[int, int] = {LIVE_LEVEL: 0}
         self.probes.update({k: 0 for k in range(config.max_levels)})
         self.stats = {"rotations": 0, "live_checkpoints": 0, "level_merges": 0,
-                      "level_merge_collapses": 0, "old_read_rejections": 0}
+                      "old_read_rejections": 0}
 
     # -- construction ---------------------------------------------------------
 
@@ -464,7 +464,6 @@ class LevelledStore(Store):
             pass
 
     def _compact_levels_locked(self, force: bool) -> None:
-        collapses_before = effects.counters["multi_collapse"]
         for level in range(self.config.max_levels - 1):
             row = self._layout[1][level]
             cap = 0 if force else self.config.capacity(level)
@@ -476,8 +475,6 @@ class LevelledStore(Store):
             if not all(self._gate_locked(s.window.hi) for s in sources):
                 continue
             self._merge_down_locked(level, sources)
-        self.stats["level_merge_collapses"] += (
-            effects.counters["multi_collapse"] - collapses_before)
 
     def _merge_down_locked(self, level: int, sources: tuple[Checkpoint, ...]) -> None:
         """Merge a level's first checkpoints (oldest first) into level+1, a

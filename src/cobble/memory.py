@@ -4,7 +4,8 @@ Both speak the same Store protocol and must agree with each other (and with
 the reference valuation) at every (key, read_st); their read paths are kept
 deliberately independent so tests can cross-check them. The journal groups
 and collapses concurrent versions on every read (consolidate_forward); the
-map keeps each key's running fold as commits arrive, so a read above a key's
+map keeps, with each version, its key's fold up to that version (a prefix
+scan), so a read at any snapshot is one bisect, and a read above a key's
 newest version is one dict lookup.
 """
 
@@ -26,14 +27,11 @@ from .store import (
     check_key,
 )
 
-# A committed version is (ct, st, txn_id, effect); lists stay sorted by ct.
+# A journal version is (ct, st, txn_id, effect); lists stay sorted by ct.
 Version = tuple[int, int, str, Effect]
-# A key's running fold: (last ct, the open group's increments, the effect).
-Fold = tuple[int, int, Effect]
-
-
-def _ct(v: Version) -> int:
-    return v[0]
+# A map row is (ct, st, effect, the open group's increments, fold up to and
+# including this version); a key's rows stay sorted by ct.
+Row = tuple[int, int, Effect, int, Effect]
 
 
 def consolidate_forward(versions: list[Version]) -> Effect | None:
@@ -174,23 +172,23 @@ class JournalStore(TxnLifecycleMixin, Store):
 
 
 class MapStore(TxnLifecycleMixin, Store):
-    """Per-key sorted version lists plus each key's running fold; the fastest
-    of the basic stores to read.
+    """Per-key sorted version rows, each carrying the fold of its key up to
+    and including it; the fastest of the basic stores to read.
 
-    Writes stay buffered in the transaction until commit, when the whole
-    batch is inserted atomically with respect to readers. A key with two or
-    more versions also keeps its fold over all of them, (last ct, the open
-    group's increments, effect), the state composition.fold_commits keeps;
-    each commit replaces it whole. A lone version is its own fold. A read
-    above a key's newest ct returns the fold, and so does the flush of a
-    sealed map; only a read inside a key's history walks its versions.
+    Writes stay buffered in the transaction until commit, when each key
+    gets one row, published whole: (ct, st, effect, the open group's
+    increments, fold), where fold is the effect of every version up to this
+    one, the state composition.fold_commits keeps. The folds are a prefix
+    scan over the versions, so a read at read_st, the fold of the versions
+    below it, is the newest row's fold when that row is below read_st, and
+    otherwise one bisect away. The flush of a sealed map does the same at
+    the window top.
     """
 
     def __init__(self):
         self._lifecycle_init()
         self._lock = threading.Lock()
-        self._per_key: dict[str, list[Version]] = {}
-        self._folds: dict[str, Fold] = {}
+        self._rows: dict[str, list[Row]] = {}
         self._sealed = False
         self.window: Window | None = None
 
@@ -208,40 +206,40 @@ class MapStore(TxnLifecycleMixin, Store):
         self._txn_check_active(txn.txn_id)
         if txn.ct is None:
             raise TransactionError(f"commit of txn {txn.txn_id!r} without a ct")
-        self.insert_committed(txn.ct, txn.st, txn.effect_buffer, txn.txn_id)
+        self.insert_committed(txn.ct, txn.st, txn.effect_buffer)
         self._txn_terminate(txn.txn_id)
 
-    def insert_committed(self, ct: int, st: int, writes: dict[str, Effect],
-                         txn_id: str = "") -> None:
-        """Insert one committed transaction's folded writes, atomically with
-        respect to readers. rebuild_wmp calls it directly: a version's txn id
-        never changes a read, because commit timestamps are unique.
+    def insert_committed(self, ct: int, st: int, writes: dict[str, Effect]) -> None:
+        """Insert one committed transaction's folded writes; a read sees each
+        key as it was before the insert or after it. rebuild_wmp calls it
+        directly.
 
-        A version above the key's newest is appended and takes one fold
-        step. One that arrives out of ct order (rebuild_wmp replays log
-        order) is inserted in place, and the key is folded again in ct
-        order."""
+        A version above the key's newest is appended as one row, one fold
+        step on top of the newest. One that arrives out of ct order
+        (rebuild_wmp replays log order) goes into a copy of the key's rows,
+        which is folded again from the insertion point and then replaces
+        the list whole, so a reader bisecting the old list never sees it
+        shift."""
         with self._lock:
             if self._sealed:
                 raise StoreError("commit on a sealed map")
-            per_key = self._per_key
-            folds = self._folds
+            rows_of = self._rows
             for key, eff in writes.items():
-                version = (ct, st, txn_id, eff)
-                versions = per_key.get(key)
-                if versions is None:
-                    per_key[key] = [version]
-                    continue
-                if ct > versions[-1][0]:
-                    fold = folds.get(key)
-                    if fold is None:
-                        fold = _lone(versions[0])
-                    versions.append(version)
-                    folds[key] = _step(fold, ct, st, eff)
+                rows = rows_of.get(key)
+                if rows is None:  # _step(None, ...) inline: most writes land here
+                    rows_of[key] = [(ct, st, eff, 0 if eff.base is not None
+                                     else eff.delta, eff)]
+                elif ct > rows[-1][0]:
+                    rows.append(_step(rows[-1], ct, st, eff))
                 else:
-                    # key=: a repeated ct must not go on to compare Effects
-                    bisect.insort(versions, version, key=_ct)
-                    folds[key] = _fold(versions, 0, len(versions))
+                    # (ct + 1,) sorts after every row at ct: no two Effects
+                    # are compared, and a repeated ct lands after its twin
+                    i = bisect.bisect_left(rows, (ct + 1,))
+                    rows = rows[:i] + [(ct, st, eff)] + rows[i:]
+                    prev = rows[i - 1] if i else None
+                    for j in range(i, len(rows)):
+                        prev = rows[j] = _step(prev, *rows[j][:3])
+                    rows_of[key] = rows
 
     def do_abort(self, txn: TransactionDescriptor) -> None:
         self._txn_check_active(txn.txn_id)
@@ -255,51 +253,41 @@ class MapStore(TxnLifecycleMixin, Store):
     def probe(self, key: str, read_st: int) -> Effect | None:
         """lookup without the key check, for a caller that made it already.
 
-        Above the key's newest version this takes no lock: a fold is
-        replaced whole, and a commit in ct order only appends, so the read
-        sees the key as it was before that commit or after it."""
-        versions = self._per_key.get(key)
-        if versions is None:
+        The fold of the newest row below read_st: the newest row's, or the
+        one a bisect finds. No lock is taken: a commit in ct order only
+        appends a whole row, and an out-of-order insert replaces the list,
+        so the read sees the key as it was before that commit or after it."""
+        rows = self._rows.get(key)
+        if rows is None:
             return None
-        fold = self._folds.get(key)
-        if fold is None:  # a lone version is its own fold
-            ct, _, _, eff = versions[0]
-            return eff if ct < read_st else None
-        if fold[0] < read_st:
-            return fold[2]
-        # the walk holds the lock because a concurrent insort below the
-        # bisect point would shift the indices it walks
-        with self._lock:
-            return _effect_below(versions, read_st)
+        row = rows[-1]
+        if row[0] < read_st:
+            return row[4]
+        # (read_st,) sorts before every row at or above read_st
+        i = bisect.bisect_left(rows, (read_st,))
+        return rows[i - 1][4] if i else None
 
     def consolidated(self, hi: int) -> tuple[list[str], list[Effect]]:
-        """Every key with a version below hi, ascending, and its effect at hi:
-        what probe(key, hi) gives for each, from the folds, or from the
-        version lists where hi lies inside a key's history."""
+        """Every key with a version below hi, ascending, and its effect at
+        hi: what probe(key, hi) gives for each."""
         keys: list[str] = []
         effs: list[Effect] = []
-        with self._lock:
-            per_key = self._per_key
-            folds = self._folds
-            for key in sorted(per_key):
-                fold = folds.get(key)
-                if fold is None:
-                    ct, _, _, eff = per_key[key][0]
-                    if ct >= hi:
-                        continue
-                elif fold[0] < hi:
-                    eff = fold[2]
-                else:
-                    eff = _effect_below(per_key[key], hi)
-                    if eff is None:
-                        continue
-                keys.append(key)
-                effs.append(eff)
+        rows_of = self._rows
+        for key in sorted(rows_of):
+            rows = rows_of[key]
+            row = rows[-1]
+            if row[0] >= hi:
+                i = bisect.bisect_left(rows, (hi,))
+                if not i:
+                    continue
+                row = rows[i - 1]
+            keys.append(key)
+            effs.append(row[4])
         return keys, effs
 
     def written_keys(self) -> set[str]:
         with self._lock:
-            return set(self._per_key)
+            return set(self._rows)
 
     def seal(self, window: Window) -> None:
         with self._lock:
@@ -311,57 +299,22 @@ class MapStore(TxnLifecycleMixin, Store):
         return self._sealed
 
 
-def _lone(version: Version) -> Fold:
-    """The fold of a lone version."""
-    ct, _, _, eff = version
-    return ct, 0 if eff.base is not None else eff.delta, eff
-
-
-def _step(fold: Fold, ct: int, st: int, eff: Effect) -> Fold:
-    """fold with one newer version (ct, st, eff) on top: the step of
-    composition.fold_commits. The version starts a new group when its st
-    is at or above the last ct. An increment adds to the effect and to the
-    open group's increments; an assignment replaces the effect, plus the
-    open group's earlier increments. That is the group's collapse: the
-    max-ct assignment wins, and every increment of the group survives on
-    top of it."""
-    last_ct, incr, acc = fold
+def _step(prev: Row | None, ct: int, st: int, eff: Effect) -> Row:
+    """The row of version (ct, st, eff) on top of the key's previous row, or
+    as its first: the step of composition.fold_commits. The version starts
+    a new group when it is the first or its st is at or above the previous
+    ct. An increment adds to the fold and to the open group's increments; an
+    assignment replaces the fold, plus the open group's earlier increments.
+    That is the group's collapse: the max-ct assignment wins, and every
+    increment of the group survives on top of it."""
+    if prev is None:
+        return ct, st, eff, 0 if eff.base is not None else eff.delta, eff
+    last_ct, _, _, incr, acc = prev
     if st >= last_ct:
         incr = 0
     if eff.base is None:
-        return (ct, incr + eff.delta,
+        return (ct, st, eff, incr + eff.delta,
                 effect_from_i64(acc.base, wrap_i64(acc.delta + eff.delta)))
     if incr:
-        return ct, incr, effect_from_i64(eff.base, wrap_i64(eff.delta + incr))
-    return ct, 0, eff
-
-
-def _fold(versions: list[Version], lo: int, hi: int) -> Fold:
-    """The fold of versions[lo:hi], where versions[lo] starts a group."""
-    fold = _lone(versions[lo])
-    for i in range(lo + 1, hi):
-        ct, st, _, eff = versions[i]
-        fold = _step(fold, ct, st, eff)
-    return fold
-
-
-def _effect_below(versions: list[Version], read_st: int) -> Effect | None:
-    """The folded effect of the versions below read_st, for a read inside a
-    key's history. Walk back from the bisect point to the start of the
-    newest group that holds an assignment, which absorbs everything older,
-    or to the first version, and fold forward from there."""
-    # (read_st,) sorts before every version at or above read_st; commit
-    # timestamps are unique, so no two Effects are ever compared
-    hi = bisect.bisect_left(versions, (read_st,))
-    if hi == 0:
-        return None
-    lo = 0
-    assigned = False
-    for j in range(hi - 1, 0, -1):
-        _, st, _, eff = versions[j]
-        if eff.base is not None:
-            assigned = True
-        if assigned and st >= versions[j - 1][0]:  # j starts the group
-            lo = j
-            break
-    return _fold(versions, lo, hi)[2]
+        return ct, st, eff, incr, effect_from_i64(eff.base, wrap_i64(eff.delta + incr))
+    return ct, st, eff, 0, eff

@@ -521,7 +521,7 @@ def _fed(arrival) -> tuple[MapStore, JournalStore]:
     """A map and a journal fed the same commits in the same order."""
     store, journal = MapStore(), JournalStore()
     for i, (st, ct, writes) in enumerate(arrival):
-        store.insert_committed(ct, st, writes, f"t{i}")
+        store.insert_committed(ct, st, writes)
         txn = TransactionDescriptor(f"t{i}", st=st)
         journal.do_begin(txn)
         for key, eff in writes.items():
@@ -531,18 +531,35 @@ def _fed(arrival) -> tuple[MapStore, JournalStore]:
     return store, journal
 
 
+@pytest.fixture
+def fold_steps(monkeypatch):
+    """Every fold step MapStore runs from here on, as (ct, st)."""
+    steps = []
+    real = cobble.memory._step
+
+    def counting(prev, ct, st, eff):
+        steps.append((ct, st))
+        return real(prev, ct, st, eff)
+
+    monkeypatch.setattr(cobble.memory, "_step", counting)
+    return steps
+
+
 class TestMemtableFold:
-    def test_probe_matches_the_walk_and_the_journal_at_every_snapshot(self):
+    def test_probe_matches_the_journal_at_every_snapshot(self):
         rng = random.Random(23)
         for _ in range(200):
             lo, commits, arrival = _random_memtable(rng)
             store, journal = _fed(arrival)
             top = commits[-1][1] + 1
-            for key, versions in store._per_key.items():
-                for read_st in range(lo, top + 2):
-                    want = journal.lookup(key, read_st)
-                    assert cobble.memory._effect_below(versions, read_st) == want
-                    assert store.probe(key, read_st) == want, (key, read_st)
+            for read_st in range(lo, top + 2):
+                want = {}
+                for key in store.written_keys():
+                    want[key] = journal.lookup(key, read_st)
+                    assert store.probe(key, read_st) == want[key], (key, read_st)
+                keys, effs = store.consolidated(read_st)
+                assert keys == sorted(k for k, e in want.items() if e is not None)
+                assert effs == [want[k] for k in keys]
 
     def test_each_fold_is_fold_commits_at_the_top(self):
         rng = random.Random(24)
@@ -554,45 +571,78 @@ class TestMemtableFold:
             flat = [(st, ct, [(k, e.base, e.delta) for k, e in writes.items()])
                     for st, ct, writes in commits]
             want = fold_commits(flat, Window(lo, top)).entries
-            assert set(store._per_key) == set(want)
-            for key, versions in store._per_key.items():
-                fold = store._folds.get(key)
-                if len(versions) == 1:  # a lone version is its own fold
+            assert set(store._rows) == set(want)
+            for key, rows in store._rows.items():
+                if len(rows) == 1:  # a lone version is its own fold
                     lone += 1
-                    assert fold is None
-                    assert versions[0][3] == want[key]
-                    continue
-                multi += 1
-                assert fold[0] == versions[-1][0]
-                assert fold[2] == want[key]
-                # the folds kept commit by commit equal one fold in ct order
-                assert fold == cobble.memory._fold(versions, 0, len(versions))
+                    assert rows[0][4] is rows[0][2]
+                else:
+                    multi += 1
+                assert [row[0] for row in rows] == sorted(
+                    ct for _, ct, writes in commits if key in writes)
+                assert rows[-1][4] == want[key]
         assert lone and multi
 
-    def test_a_read_above_the_newest_version_does_not_walk(self, monkeypatch):
-        walks = []
-        real = cobble.memory._effect_below
+    def test_rows_kept_out_of_order_equal_rows_fed_in_ct_order(self):
+        rng = random.Random(26)
+        shuffled = 0
+        for _ in range(300):
+            _, commits, arrival = _random_memtable(rng)
+            store, _ = _fed(arrival)
+            in_order, _ = _fed(commits)
+            shuffled += arrival != commits
+            assert store._rows == in_order._rows
+        assert shuffled > 100
 
-        def counting(versions, read_st):
-            walks.append(read_st)
-            return real(versions, read_st)
-
-        monkeypatch.setattr(cobble.memory, "_effect_below", counting)
+    def test_no_read_runs_a_fold_step(self, fold_steps):
         rng = random.Random(25)
         for _ in range(100):
             lo, commits, arrival = _random_memtable(rng)
             store, journal = _fed(arrival)
+            fold_steps.clear()
             top = commits[-1][1] + 1
-            for key, versions in store._per_key.items():
-                for read_st in range(versions[-1][0] + 1, top + 2):
+            for read_st in range(lo, top + 2):
+                for key in store.written_keys():
                     assert store.probe(key, read_st) == journal.lookup(key, read_st)
-            store.consolidated(top)
-            assert walks == []
-            for key, versions in store._per_key.items():  # inside the history
-                if len(versions) > 1:
-                    store.probe(key, versions[-1][0])
+                store.consolidated(read_st)
             window = Window(lo, top)
             store.seal(window)
             make_checkpoint(store, window)
-            assert walks == [vs[-1][0] for vs in store._per_key.values() if len(vs) > 1]
-            walks.clear()
+            assert fold_steps == []
+
+    def test_a_long_increment_history_reads_without_folding(self, fold_steps):
+        """10,000 increments of one key: a read at any snapshot is the sum
+        below it, found by a bisect, whatever the history's length."""
+        store = MapStore()
+        n = 10_000
+        for ct in range(1, n + 1):
+            store.insert_committed(ct, ct - 1, {"k": Effect.incr(1)})
+        assert len(fold_steps) == n - 1  # one per append; the first row is inline
+        fold_steps.clear()
+        for read_st in range(0, n + 2, 100):
+            got = store.probe("k", read_st)
+            assert (got.delta if got else 0) == max(read_st - 1, 0)
+            assert got is None or got.base is None
+        assert store.probe("k", n + 1) == Effect.incr(n)
+        assert fold_steps == []
+
+    def test_an_out_of_order_insert_refolds_only_its_suffix(self, fold_steps):
+        """Into a key with n rows after it, an insert at position i runs one
+        fold step for each of rows i..n-1, and leaves the list a reader
+        took before it as it was. (At i = n - 1 it would be an append.)"""
+        n = 12
+        older = [(st, st + 1, {"k": Effect.assign(st) if st % 6 == 0 else Effect.incr(st + 1)})
+                 for st in range(0, 2 * (n - 1), 2)]  # odd cts; the insert's is even
+        for i in range(n - 1):
+            store, _ = _fed(older)
+            held = store._rows["k"]
+            before = list(held)
+            late = (2 * i - 1, 2 * i, {"k": Effect.incr(100)})
+            fold_steps.clear()
+            store.insert_committed(late[1], late[0], late[2])
+            assert len(fold_steps) == n - i
+            rows = store._rows["k"]
+            assert len(rows) == n and rows[i][0] == 2 * i
+            assert held is not rows and held == before
+            in_order, _ = _fed(sorted(older + [late], key=lambda c: c[1]))
+            assert rows == in_order._rows["k"]

@@ -68,10 +68,14 @@ class BenchReport:
     aborts: int
     latencies_us: dict[str, list[float]] = field(default_factory=dict)
     probes: dict | None = None
+    # commit() of each committed attempt, apart from the per-op latencies
+    # that the pooled quantiles and the CSV row cover
+    commit_us: list[float] = field(default_factory=list)
 
     def __post_init__(self):
         for vals in self.latencies_us.values():
             vals.sort()
+        self.commit_us.sort()
         self._all = sorted(
             v for vals in self.latencies_us.values() for v in vals)
 
@@ -100,12 +104,13 @@ class BenchReport:
             f"  latency us: p50={self.p(0.50):.1f} "
             f"p95={self.p(0.95):.1f} p99={self.p(0.99):.1f}",
         ]
-        for kind in sorted(self.latencies_us):
+        rows = sorted(self.latencies_us.items())
+        if self.commit_us:
+            rows.append(("commit", self.commit_us))
+        for kind, vals in rows:
             lines.append(
-                f"  {kind:9s} n={len(self.latencies_us[kind])} "
-                f"p50={self.kind_p(kind, 0.50):.1f} "
-                f"p95={self.kind_p(kind, 0.95):.1f} "
-                f"p99={self.kind_p(kind, 0.99):.1f}")
+                f"  {kind:9s} n={len(vals)} p50={percentile(vals, 0.50):.1f} "
+                f"p95={percentile(vals, 0.95):.1f} p99={percentile(vals, 0.99):.1f}")
         if self.probes is not None:
             probe_txt = " ".join(
                 f"L{lvl}={n}" if lvl >= 0 else f"live={n}"
@@ -144,6 +149,7 @@ def _worker(manager: TransactionManager, spec: WorkloadSpec,
             deadline: float, results: list) -> None:
     rng = thread_rng(seed, thread)
     latencies: dict[str, list[float]] = {}
+    commit_us: list[float] = []
     ops_done = 0
     aborts = 0
     while time.perf_counter() < deadline:
@@ -165,13 +171,16 @@ def _worker(manager: TransactionManager, spec: WorkloadSpec,
                     if got is None:
                         coord.read(op[1])  # nothing old enough yet
                 attempt.append((kind, (time.perf_counter_ns() - t0) / 1000.0))
-            if coord.commit().committed:
+            t0 = time.perf_counter_ns()
+            committed = coord.commit().committed
+            if committed:
+                commit_us.append((time.perf_counter_ns() - t0) / 1000.0)
                 for kind, us in attempt:
                     latencies.setdefault(kind, []).append(us)
                 ops_done += len(attempt)
                 break
             aborts += 1
-    results.append((latencies, ops_done, aborts))
+    results.append((latencies, commit_us, ops_done, aborts))
 
 
 def run_bench(manager: TransactionManager, spec: WorkloadSpec,
@@ -192,18 +201,20 @@ def run_bench(manager: TransactionManager, spec: WorkloadSpec,
         w.join()
     elapsed = time.perf_counter() - start
     merged: dict[str, list[float]] = {}
+    commit_us: list[float] = []
     ops = 0
     aborts = 0
-    for latencies, o, a in results:
+    for latencies, commits, o, a in results:
         ops += o
         aborts += a
+        commit_us += commits
         for kind, vals in latencies.items():
             merged.setdefault(kind, []).extend(vals)
     probes = None
     if isinstance(manager.store, LevelledStore):
         probes = dict(manager.store.probes)
     return BenchReport(spec.name, store_name, threads, manager.isolation,
-                       elapsed, ops, aborts, merged, probes)
+                       elapsed, ops, aborts, merged, probes, commit_us)
 
 
 def run_store_bench(store_name: str, workload_name: str, threads: int,

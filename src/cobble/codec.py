@@ -5,10 +5,27 @@ Frame layout: magic "CBLE" | u32le payload length | payload | u32le CRC-32
 magic, bounds, CRC, or record decoding; everything before it is the valid
 prefix.
 
-Commit payload (one per committed transaction in a commit log): tag "C" |
-u64le st | u64le ct | u32le write count | writes, each u16le key length |
-key | effect encoding. The tag is no RecordKind value, so a journal record
-never decodes as a commit.
+Commit payload (one per committed transaction in a commit log), each
+integer little-endian in the bytes it needs: tag "c" | head byte | ct |
+ct - st | write count | writes, each a width byte | key length | base |
+delta | key (UTF-8). The head byte gives the widths of the three integers
+after it, two bits each (bits 0-1 ct, 2-3 ct - st, 4-5 count; 6-7 are 0),
+all unsigned:
+
+    code   0   1   2   3
+    bytes  1   2   4   8
+
+The width byte gives the widths of one write's fields: bits 0-2 the
+signed base and bits 3-5 the signed delta (bit 6 set: the key length is
+u16, else u8; bit 7 is 0):
+
+    code   0                      1   2   3   4
+    bytes  0 (no base; delta 0)   1   2   4   8
+
+An assignment of 0 stores its base in one byte. Each width is the
+smallest that holds the value; st > ct does not encode. The tag is no
+RecordKind value, so a journal record never decodes as a commit, and a
+payload in an earlier layout (tag "C") is refused.
 
 Map (checkpoint) file layout, little-endian on every host: magic
 "CBLMAP02" | u64 window.lo | u64 window.hi | u32 entry count n | u32 key
@@ -29,19 +46,39 @@ import struct
 import sys
 import zlib
 from array import array
+from typing import NoReturn
 
 from .effects import Effect, decode_effect, encode_effect
 from .store import IntegrityError, JournalRecord, RecordKind, Window
 
 FRAME_MAGIC = b"CBLE"
 MAP_MAGIC = b"CBLMAP02"
-COMMIT_TAG = b"C"
+COMMIT_TAG = b"c"
 _FRAME_HEADER = len(FRAME_MAGIC) + 4
 _MAP_HEADER = struct.Struct("<QQII")  # window lo, window hi, entry count, key blob bytes
-_COMMIT_HEAD = struct.Struct("<QQI")  # st, ct, write count
-_u16 = struct.Struct("<H").unpack_from
-_i64 = struct.Struct("<q").unpack_from
-_i64x2 = struct.Struct("<qq").unpack_from
+_UNSIGNED = "BHIQ"  # head width codes 0-3
+_SIGNED = ("", "b", "h", "i", "q")  # write width codes 0-4
+
+
+def _fields(fmt: str) -> tuple:
+    """(unpack_from, size, pack) of one precompiled field group."""
+    s = struct.Struct(fmt)
+    return s.unpack_from, s.size, s.pack
+
+
+def _bad_width(buf: bytes, off: int) -> NoReturn:
+    raise ValueError(f"bad width byte {buf[off]:#x}")
+
+
+# (unpack_from, size, pack) of each field group, by the byte that starts it:
+# the head byte, ct, ct - st and write count; the width byte, key length,
+# then base and delta where present. An invalid byte's unpack raises, so
+# decoding needs no check of its own.
+_BAD = (_bad_width, 0, _bad_width)
+_HEADS = [_fields("<B" + _UNSIGNED[h & 3] + _UNSIGNED[h >> 2 & 3] + _UNSIGNED[h >> 4])
+          if h < 0o100 else _BAD for h in range(256)]
+_WRITES = [_fields("<B" + "BH"[w >> 6] + _SIGNED[w & 7] + _SIGNED[w >> 3 & 7])
+           if w < 0o200 and w & 7 < 5 and w >> 3 & 7 < 5 else _BAD for w in range(256)]
 
 # one logged write: (key, base or None, delta), both i64
 Write = tuple[str, int | None, int]
@@ -99,14 +136,33 @@ def decode_record(payload: bytes) -> JournalRecord:
 
 
 def encode_commit(st: int, ct: int, writes: dict[str, Effect]) -> bytes:
-    out = bytearray(COMMIT_TAG)
-    out += struct.pack("<QQI", st, ct, len(writes))
+    """The commit payload of (st, ct, writes); struct.error if ct or ct - st
+    is not a u64 (st > ct included) or a key's UTF-8 exceeds 65535 bytes."""
+    gap = ct - st
+    count = len(writes)
+    head = ((0 if ct < 0x100 else 1 if ct < 0x10000 else 2 if ct < 0x100000000 else 3)
+            | (0 if gap < 0x100 else 4 if gap < 0x10000 else 8 if gap < 0x100000000 else 12)
+            | (0 if count < 0x100 else 16 if count < 0x10000 else 32 if count < 0x100000000
+               else 48))
+    parts = [COMMIT_TAG, _HEADS[head][2](head, ct, gap, count)]
     for key, eff in writes.items():
-        kb = key.encode("utf-8")
-        out += struct.pack("<H", len(kb))
-        out += kb
-        out += encode_effect(eff)
-    return bytes(out)
+        kb = key.encode()
+        base = eff.base
+        delta = eff.delta
+        w = 0 if len(kb) < 0x100 else 0o100
+        if delta:
+            w |= (0o10 if -0x80 <= delta < 0x80 else 0o20 if -0x8000 <= delta < 0x8000
+                  else 0o30 if -0x80000000 <= delta < 0x80000000 else 0o40)
+        if base is None:
+            parts.append(_WRITES[w][2](w, len(kb), delta) if delta
+                         else _WRITES[w][2](w, len(kb)))
+        else:
+            w |= (1 if -0x80 <= base < 0x80 else 2 if -0x8000 <= base < 0x8000
+                  else 3 if -0x80000000 <= base < 0x80000000 else 4)
+            parts.append(_WRITES[w][2](w, len(kb), base, delta) if delta
+                         else _WRITES[w][2](w, len(kb), base))
+        parts.append(kb)
+    return b"".join(parts)
 
 
 def decode_commit(payload: bytes) -> tuple[int, int, list[Write]]:
@@ -115,28 +171,28 @@ def decode_commit(payload: bytes) -> tuple[int, int, list[Write]]:
     try:
         if payload[:1] != COMMIT_TAG:
             raise ValueError("not a commit payload")
-        st, ct, count = _COMMIT_HEAD.unpack_from(payload, 1)
-        off = 1 + _COMMIT_HEAD.size
+        unpack, size, _ = _HEADS[payload[1]]
+        _, ct, gap, count = unpack(payload, 1)
+        off = 1 + size
         n = len(payload)
         writes: list[Write] = []
         for _ in range(count):
-            end = off + 2 + _u16(payload, off)[0]
-            if end > n:
+            w = payload[off]
+            unpack, size, _ = _WRITES[w]
+            f = unpack(payload, off)
+            start = off + size
+            off = start + f[1]
+            if off > n:
                 raise ValueError("short key")
-            tag = payload[end]
-            if tag == 0:
-                writes.append((payload[off + 2:end].decode("utf-8"), None,
-                               _i64(payload, end + 1)[0]))
-                off = end + 9
-            elif tag == 1:
-                base, delta = _i64x2(payload, end + 1)
-                writes.append((payload[off + 2:end].decode("utf-8"), base, delta))
-                off = end + 17
+            if w & 0o70:  # a delta, and a base if w & 7
+                writes.append((payload[start:off].decode(), f[2], f[3]) if w & 7
+                              else (payload[start:off].decode(), None, f[2]))
             else:
-                raise ValueError(f"bad effect tag {tag:#x}")
+                writes.append((payload[start:off].decode(), f[2], 0) if w & 7
+                              else (payload[start:off].decode(), None, 0))
         if off != n:
             raise ValueError("trailing bytes in commit payload")
-        return st, ct, writes
+        return ct - gap, ct, writes
     except (IndexError, struct.error, UnicodeDecodeError, ValueError) as exc:
         raise IntegrityError(f"bad commit payload: {exc}") from exc
 

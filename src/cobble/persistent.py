@@ -190,6 +190,8 @@ class CommitLog(_FrameFile):
     def do_commit(self, txn: TransactionDescriptor) -> None:
         if txn.ct is None:
             raise StoreError(f"commit of txn {txn.txn_id!r} without a ct")
+        if txn.st > txn.ct:
+            raise StoreError(f"txn {txn.txn_id!r} has its st {txn.st} after its ct {txn.ct}")
         payload = codec.encode_commit(txn.st, txn.ct, txn.effect_buffer)
         with self._lock:
             self._write_frame(payload)

@@ -11,6 +11,7 @@ import pytest
 from cobble import codec, faults
 from cobble.composition import Checkpoint, make_checkpoint, rebuild_wmp
 from cobble.effects import Effect
+from cobble.engine import LevelledStore, open_engine
 from cobble.faults import CorruptBytes, FailFlush, FaultPlan, TruncateAt
 from cobble.memory import JournalStore, MapStore
 from cobble.oracle import generate_trace, replay, valuation_effect
@@ -235,15 +236,84 @@ class TestCommitLog:
             7, 9, [("k", None, -3), ("é", 5, 2), ("x", -top - 1, top)])
         assert codec.decode_commit(codec.encode_commit(0, 1, {})) == (0, 1, [])
         one = codec.encode_commit(0, 1, {"abc": Effect.incr(1)})
-        key_end = 1 + 20 + 2 + 3
+        # tag, head byte, then ct, ct - st and count in one byte each; the
+        # write: width byte, u8 key length and a one-byte delta, then the key
+        width_at = 1 + 1 + 3
+        key_end = width_at + 3 + 3
+        assert len(one) == key_end
         for bad, why in ((payload[:-1], "bad commit payload"),
                          (payload + b"\x00", "trailing bytes"), (b"", "not a commit"),
                          (one[:key_end - 1], "short key"),
-                         (one[:key_end] + b"\x02" + one[key_end + 1:], "bad effect tag"),
+                         (b"C" + one[1:], "not a commit"),
+                         (one[:1] + b"\x40" + one[2:], "bad width byte"),
+                         (one[:width_at] + b"\x05" + one[width_at + 1:], "bad width byte"),
+                         (one[:width_at] + b"\x28" + one[width_at + 1:], "bad width byte"),
+                         (one[:width_at] + b"\x88" + one[width_at + 1:], "bad width byte"),
                          (codec.encode_record(JournalRecord(RecordKind.BEGIN, "t", 3)),
                           "not a commit")):
             with pytest.raises(IntegrityError, match=why):
                 codec.decode_commit(bad)
+
+    def test_commit_payload_is_pinned(self):
+        payload = codec.encode_commit(2, 4, {"k": Effect.incr(1)})
+        assert payload == bytes.fromhex(
+            "63"        # tag "c"
+            "00"        # head byte: ct, ct - st and count one byte each
+            "04" "02" "01"
+            "08"        # width byte: no base, one-byte delta, u8 key length
+            "01" "01" "6b")
+
+    def test_commit_payload_round_trips_at_every_width_boundary(self):
+        for st, ct, writes in _boundary_commits():
+            payload = codec.encode_commit(st, ct, writes)
+            assert codec.decode_commit(payload) == (
+                st, ct, [(k, e.base, e.delta) for k, e in writes.items()])
+            assert len(payload) == _commit_size(st, ct, writes)
+
+    def test_every_strict_prefix_of_a_payload_raises(self):
+        for st, ct, writes in _boundary_commits():
+            payload = codec.encode_commit(st, ct, writes)
+            for cut in range(len(payload)):
+                with pytest.raises(IntegrityError):
+                    codec.decode_commit(payload[:cut])
+
+    def test_snapshot_after_commit_is_refused_before_writing(self, tmp_path):
+        with pytest.raises(struct.error):
+            codec.encode_commit(5, 4, {})
+        log = CommitLog(str(tmp_path / "wal.log"))
+        txn = TransactionDescriptor("late", st=5, ct=4)
+        txn.effect_buffer["k"] = Effect.incr(1)
+        with pytest.raises(StoreError, match="after its ct"):
+            log.do_commit(txn)
+        assert os.path.getsize(log.path) == log.durable_offset == 0
+        log.do_commit(TransactionDescriptor("next", st=4, ct=4))  # the log is not failed
+        log.close()
+        log, commits = CommitLog.recover(log.path)
+        log.close()
+        assert commits == [(4, 4, [])]
+
+    def test_parent_layout_frame_raises_and_stays_unchanged(self, tmp_path):
+        path = self._log(tmp_path, n=2)
+        with open(path, "ab") as f:
+            f.write(codec.encode_frame(_PARENT_LAYOUT_PAYLOAD))
+        before = open(path, "rb").read()
+        for read in (CommitLog.scan, CommitLog.recover):
+            with pytest.raises(IntegrityError, match="not a commit"):
+                read(path)
+            assert open(path, "rb").read() == before
+
+    def test_engine_refuses_a_live_log_in_the_parent_layout(self, tmp_path):
+        d = str(tmp_path / "db")
+        engine = LevelledStore.create(d)
+        (live, _), = engine.layout()["live"]
+        engine.close()
+        path = os.path.join(d, live)
+        with open(path, "ab") as f:
+            f.write(codec.encode_frame(_PARENT_LAYOUT_PAYLOAD))
+        before = open(path, "rb").read()
+        with pytest.raises(IntegrityError):
+            open_engine(d)
+        assert open(path, "rb").read() == before
 
     def test_one_frame_per_commit_and_nothing_before(self, tmp_path):
         log = CommitLog(str(tmp_path / "wal.log"))
@@ -255,7 +325,8 @@ class TestCommitLog:
         txn.ct = 4
         log.do_commit(txn)
         frame = codec.encode_frame(codec.encode_commit(2, 4, {"k": Effect.incr(1)}))
-        assert os.path.getsize(log.path) == log.durable_offset == len(frame)
+        # an exact size: a change that grows the log fails here
+        assert os.path.getsize(log.path) == log.durable_offset == len(frame) == 21
         log.close()
 
     def test_aborted_txn_adds_no_bytes(self, tmp_path):
@@ -381,6 +452,56 @@ class TestCommitLog:
             CommitLog(path)
         with pytest.raises(StoreError):
             CommitLog.recover(str(tmp_path / "nope.log"))
+
+
+# the commit payload of (st 2, ct 4, {"k": incr 1}) in the fixed-width
+# layout this one replaced: tag "C", u64 st, u64 ct, u32 write count, then
+# per write u16 key length, key, effect tag 0 (no base) and i64 delta
+_PARENT_LAYOUT_PAYLOAD = bytes.fromhex(
+    "43" "0200000000000000" "0400000000000000" "01000000"
+    "0100" "6b" "00" "0100000000000000")
+
+# both sides of every width boundary: 0 bytes (0), then 1, 2, 4 and 8
+_SIGNED_EDGES = [0, 1, -1, 127, -128, 128, -129, (1 << 15) - 1, -(1 << 15), 1 << 15,
+                 -(1 << 15) - 1, (1 << 31) - 1, -(1 << 31), 1 << 31, -(1 << 31) - 1,
+                 (1 << 63) - 1, -(1 << 63)]
+_UNSIGNED_EDGES = [0, 1, 255, 256, (1 << 16) - 1, 1 << 16, (1 << 32) - 1, 1 << 32,
+                   (1 << 64) - 1]
+
+
+def _boundary_commits() -> list[tuple[int, int, dict[str, Effect]]]:
+    """Commits at every width boundary of the commit payload."""
+    commits = [(st, ct, {}) for ct in _UNSIGNED_EDGES for st in (0, ct, ct // 2, ct - 1)
+               if st >= 0]
+    for base in [None] + _SIGNED_EDGES:
+        commits.append((3, 9, {f"d{i}": Effect(base, d) for i, d in enumerate(_SIGNED_EDGES)}))
+        commits += [(0, 1, {"k": Effect(base, d)}) for d in (0, 1, -(1 << 63))]
+    keys = ["a", "é" * 127 + "a", "é" * 128, "a\u07ff\uffff" * 170 + "\U0010ffff"]
+    assert [len(k.encode("utf-8")) for k in keys] == [1, 255, 256, 1024]
+    commits += [(1, 2, {k: Effect.assign(7)}) for k in keys]
+    commits.append((1, 2, dict.fromkeys(keys, Effect.incr(-1))))
+    for count in (255, 256):
+        commits.append((0, 1 << 20, {f"user{i:06d}": Effect(i - 128 if i % 2 else None, i * 7)
+                                     for i in range(count)}))
+    return commits
+
+
+def _unsigned_width(v: int) -> int:
+    return next(n for n in (1, 2, 4, 8) if v < 1 << 8 * n)
+
+
+def _signed_width(v: int) -> int:
+    return 0 if v == 0 else next(n for n in (1, 2, 4, 8) if -(1 << 8 * n - 1) <= v < 1 << 8 * n - 1)
+
+
+def _commit_size(st: int, ct: int, writes: dict[str, Effect]) -> int:
+    """Payload bytes of a commit by the layout in codec's docstring."""
+    size = 2 + _unsigned_width(ct) + _unsigned_width(ct - st) + _unsigned_width(len(writes))
+    for key, eff in writes.items():
+        klen = len(key.encode("utf-8"))
+        base = 0 if eff.base is None else _signed_width(eff.base) or 1
+        size += 1 + (1 if klen < 256 else 2) + base + _signed_width(eff.delta) + klen
+    return size
 
 
 def _ck_path(tmp_path, entries, window=Window(0, 2), name="m.cb") -> str:

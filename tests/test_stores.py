@@ -193,7 +193,7 @@ class TestMapSharedState:
         it, while more readers than cores probe without the map's lock: at
         the newest finished commit's snapshot a read sees exactly the
         commits below it, above every commit it sees a prefix of them, and
-        inside the history it walks a list that is still growing. Each
+        inside the history it bisects a list that is still growing. Each
         round stops after 2,000 commits or 2 s, whichever comes first."""
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

@@ -163,6 +163,11 @@ class TestBenchReport:
                                  data_dir=str(tmp_path / "db"))
         assert report.ops > 0
         assert report.probes is not None and -1 in report.probes
+        assert report.commit_us and min(report.commit_us) > 0
+        commit_line, = [ln.split() for ln in report.table().splitlines()
+                        if ln.split()[0] == "commit"]
+        assert commit_line[1] == f"n={len(report.commit_us)}"
+        assert [f.split("=")[0] for f in commit_line[2:]] == ["p50", "p95", "p99"]
 
     def test_old_reads_workload_runs(self):
         report = run_store_bench("map", "old_reads", threads=1, seconds=0.2,

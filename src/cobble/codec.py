@@ -1,4 +1,5 @@
-"""Binary codecs: journal record frames, commit frames and map/checkpoint files.
+"""Binary codecs: journal record frames, commit and MANIFEST batch frames,
+and map/checkpoint files.
 
 Frame layout: magic "CBLE" | u32le payload length | payload | u32le CRC-32
 (IEEE, over the payload only). A scan stops at the first frame that fails
@@ -27,6 +28,14 @@ smallest that holds the value; st > ct does not encode. The tag is no
 RecordKind value, so a journal record never decodes as a commit, and a
 payload in an earlier layout (tag "C") is refused.
 
+MANIFEST batch payload (one per batch of engine layout edits), little-endian:
+tag "m" | u64 ts (the engine's last commit timestamp) | entries to the end,
+each u8 action (0 add, 1 remove) | u8 level + 1 (0 = live) | u64 window.lo |
+u64 window.hi (2^64 - 1 while open) | u8 has-range | path | and when
+has-range is 1, the lowest and highest key, each string a u16 length and
+UTF-8. A journal record, the MANIFEST's earlier layout, starts with a
+RecordKind byte, never "m", so it is refused.
+
 Map (checkpoint) file layout, little-endian on every host: magic
 "CBLMAP02" | u64 window.lo | u64 window.hi | u32 entry count n | u32 key
 blob length | key blob | n flag bytes | n i64 bases | n i64 deltas | u32
@@ -49,15 +58,27 @@ from array import array
 from typing import NoReturn
 
 from .effects import Effect, decode_effect, encode_effect
-from .store import IntegrityError, JournalRecord, RecordKind, Window
+from .store import (
+    IntegrityError,
+    JournalRecord,
+    ManifestAction,
+    ManifestEntry,
+    RecordKind,
+    Window,
+)
 
 FRAME_MAGIC = b"CBLE"
 MAP_MAGIC = b"CBLMAP02"
 COMMIT_TAG = b"c"
+MANIFEST_TAG = b"m"
 _FRAME_HEADER = len(FRAME_MAGIC) + 4
 _MAP_HEADER = struct.Struct("<QQII")  # window lo, window hi, entry count, key blob bytes
 _UNSIGNED = "BHIQ"  # head width codes 0-3
 _SIGNED = ("", "b", "h", "i", "q")  # write width codes 0-4
+_BATCH_HEAD = struct.Struct("<cQ")  # tag, ts
+_ENTRY = struct.Struct("<BBQQB")  # action, level + 1, window lo, hi, has-range
+_U16 = struct.Struct("<H")
+_OPEN_HI = (1 << 64) - 1  # wire sentinel for an open window top
 
 
 def _fields(fmt: str) -> tuple:
@@ -98,8 +119,6 @@ def encode_record(rec: JournalRecord) -> bytes:
         out += struct.pack("<H", len(key))
         out += key
         out += encode_effect(rec.effect)
-    elif rec.kind == RecordKind.MANIFEST:
-        out += rec.payload or b""
     return bytes(out)
 
 
@@ -126,8 +145,6 @@ def decode_record(payload: bytes) -> JournalRecord:
             if off != len(payload):
                 raise ValueError("trailing bytes in update record")
             return JournalRecord(kind, txn_id, ts, key, effect)
-        if kind == RecordKind.MANIFEST:
-            return JournalRecord(kind, txn_id, ts, payload=payload[off:])
         if off != len(payload):
             raise ValueError("trailing bytes in record")
         return JournalRecord(kind, txn_id, ts)
@@ -195,6 +212,46 @@ def decode_commit(payload: bytes) -> tuple[int, int, list[Write]]:
         return ct - gap, ct, writes
     except (IndexError, struct.error, UnicodeDecodeError, ValueError) as exc:
         raise IntegrityError(f"bad commit payload: {exc}") from exc
+
+
+def encode_batch(ts: int, entries: list[ManifestEntry]) -> bytes:
+    """The MANIFEST payload of one edit batch; struct.error if ts or a window
+    bound is not a u64 or a path or key exceeds 65535 UTF-8 bytes."""
+    parts = [_BATCH_HEAD.pack(MANIFEST_TAG, ts)]
+    for e in entries:
+        hi = _OPEN_HI if e.window.hi is None else e.window.hi
+        parts.append(_ENTRY.pack(e.action, e.level + 1, e.window.lo, hi,
+                                 e.key_range is not None))
+        for text in (e.path, *(e.key_range or ())):
+            raw = text.encode()
+            parts += (_U16.pack(len(raw)), raw)
+    return b"".join(parts)
+
+
+def decode_batch(payload: bytes) -> tuple[int, list[ManifestEntry]]:
+    """(ts, entries) of a MANIFEST batch payload; IntegrityError if malformed."""
+    try:
+        tag, ts = _BATCH_HEAD.unpack_from(payload)
+        if tag != MANIFEST_TAG:
+            raise ValueError("not a manifest batch")
+        off = _BATCH_HEAD.size
+        entries = []
+        while off < len(payload):
+            action, level, lo, hi, has_range = _ENTRY.unpack_from(payload, off)
+            off += _ENTRY.size
+            texts = []  # the path, then the key range if it has one
+            for _ in range(3 if has_range else 1):
+                (n,) = _U16.unpack_from(payload, off)
+                off += 2 + n
+                texts.append(payload[off - n:off].decode())
+            if off > len(payload) or has_range > 1:
+                raise ValueError("malformed entry")
+            entries.append(ManifestEntry(ManifestAction(action), level - 1, texts[0],
+                                         Window(lo, None if hi == _OPEN_HI else hi),
+                                         tuple(texts[1:]) or None))
+        return ts, entries
+    except (struct.error, UnicodeDecodeError, ValueError) as exc:
+        raise IntegrityError(f"bad manifest batch: {exc}") from exc
 
 
 def encode_frame(payload: bytes) -> bytes:

@@ -1,6 +1,11 @@
 """Levelled store engine: live pairs (a commit log plus a memtable) on top,
-checkpoint levels below, a MANIFEST journal recording every structural
-change.
+checkpoint levels below, a MANIFEST recording every structural change.
+
+Each layout change (a new pair, a checkpoint, a merge, a recovery) is one
+MANIFEST batch of ADD/REMOVE entries, made durable as one frame before the
+layout in memory changes; none of it stays in memory. A batch also records
+the last commit timestamp: once recovery drops a log that held no writes,
+that is the only trace of its commits.
 
 Each live pair's log holds one frame per committed transaction and serves
 no reads. A sealed pair is flushed into a level-0 checkpoint whose columns
@@ -16,35 +21,34 @@ A level merge moves a source that overlaps nothing in the level below down
 whole, and otherwise folds it into only the checkpoints it overlaps.
 Compaction only folds already-consolidated entries; it never merges
 concurrent effects across stores, and it runs only after the layout changed
-or a snapshot that held it back ended. Recovery replays the MANIFEST,
-rebuilds each level's key order from the ranges it records (refusing
-overlaps), folds every live commit log that holds writes straight into one
-level-0 checkpoint (no memtable is rebuilt), and restarts timestamps above
-every commit timestamp it saw; rerunning it reproduces the same visible
-layout.
+or a snapshot that held it back ended. Recovery replays the MANIFEST
+(cutting a torn last batch), rebuilds each level's key order from the
+ranges it records (refusing overlaps), folds every live commit log that
+holds writes straight into one level-0 checkpoint (no memtable is rebuilt),
+logs the result as one batch, and restarts timestamps above every commit
+timestamp it saw; rerunning it reproduces the same visible layout.
 """
 
 from __future__ import annotations
 
 import os
 import re
-import struct
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass
-from enum import IntEnum
 
-from . import codec, faults
+from . import faults
 from .composition import Checkpoint, WALMemtablePair, fold_commits, make_checkpoint
 # recovery no longer calls rebuild_wmp; perfbench/spans.py still wraps it by
 # this name
 from .composition import rebuild_wmp  # noqa: F401
 from .effects import Effect, apply
 from .memory import MapStore
-from .persistent import CommitLog, PersistentJournal
+from .persistent import Batch, CommitLog, ManifestLog
 from .store import (
     IntegrityError,
-    RecordKind,
+    ManifestAction,
+    ManifestEntry,
     StaleSnapshotError,
     Store,
     StoreError,
@@ -57,65 +61,6 @@ from .store import (
 
 MANIFEST_NAME = "MANIFEST"
 LIVE_LEVEL = -1
-_OPEN_HI = (1 << 64) - 1  # wire sentinel for an open window top
-
-
-class ManifestAction(IntEnum):
-    ADD = 0
-    REMOVE = 1
-
-
-@dataclass(frozen=True)
-class ManifestEntry:
-    action: ManifestAction
-    level: int  # -1 = live
-    path: str  # relative to the engine directory
-    window: Window
-    key_range: tuple[str, str] | None = None
-
-
-def encode_manifest_entry(e: ManifestEntry) -> bytes:
-    out = bytearray()
-    out.append(int(e.action))
-    out.append(e.level + 1)
-    pb = e.path.encode("utf-8")
-    out += struct.pack("<H", len(pb))
-    out += pb
-    hi = _OPEN_HI if e.window.hi is None else e.window.hi
-    out += struct.pack("<QQ", e.window.lo, hi)
-    if e.key_range is None:
-        out.append(0)
-    else:
-        out.append(1)
-        for k in e.key_range:
-            kb = k.encode("utf-8")
-            out += struct.pack("<H", len(kb))
-            out += kb
-    return bytes(out)
-
-
-def decode_manifest_entry(buf: bytes) -> ManifestEntry:
-    action = ManifestAction(buf[0])
-    level = buf[1] - 1
-    off = 2
-    (plen,) = struct.unpack_from("<H", buf, off)
-    off += 2
-    path = buf[off:off + plen].decode("utf-8")
-    off += plen
-    lo, hi = struct.unpack_from("<QQ", buf, off)
-    off += 16
-    window = Window(lo, None if hi == _OPEN_HI else hi)
-    key_range = None
-    if buf[off]:
-        off += 1
-        parts = []
-        for _ in range(2):
-            (klen,) = struct.unpack_from("<H", buf, off)
-            off += 2
-            parts.append(buf[off:off + klen].decode("utf-8"))
-            off += klen
-        key_range = (parts[0], parts[1])
-    return ManifestEntry(action, level, path, window, key_range)
 
 
 @dataclass
@@ -155,10 +100,10 @@ class LevelledStore(Store):
     """The engine. Use LevelledStore.create / open_engine, not __init__ directly."""
 
     def __init__(self, directory: str, config: EngineConfig,
-                 manifest: PersistentJournal,
+                 manifest: ManifestLog,
                  live: list[WALMemtablePair],
                  levels: list[list[Checkpoint]],
-                 horizon: int, last_ct: int, fid: int, mseq: int):
+                 horizon: int, last_ct: int, fid: int):
         self.directory = directory
         self.config = config
         self._manifest = manifest
@@ -182,7 +127,6 @@ class LevelledStore(Store):
         self._horizon = horizon
         self._last_ct = last_ct
         self._fid = fid
-        self._mseq = mseq
         self.probes: dict[int, int] = {LIVE_LEVEL: 0}
         self.probes.update({k: 0 for k in range(config.max_levels)})
         self.stats = {"rotations": 0, "live_checkpoints": 0, "level_merges": 0,
@@ -197,10 +141,10 @@ class LevelledStore(Store):
         mpath = os.path.join(directory, MANIFEST_NAME)
         if os.path.exists(mpath) and os.path.getsize(mpath) > 0:
             raise StoreError(f"{directory} already holds an engine; use open_engine")
-        manifest = PersistentJournal(mpath)
+        manifest = ManifestLog(mpath)
         engine = cls(directory, config, manifest,
                      live=[], levels=[[] for _ in range(config.max_levels)],
-                     horizon=0, last_ct=-1, fid=0, mseq=0)
+                     horizon=0, last_ct=-1, fid=0)
         with engine._mutex:
             engine._open_fresh_wmp_locked(0, [])
         return engine
@@ -210,7 +154,7 @@ class LevelledStore(Store):
 
     def _open_fresh_wmp_locked(self, lo: int, extra_entries: list[ManifestEntry]) -> None:
         """Create a new accepting pair at lo and record it (plus any batched
-        entries) in one manifest transaction."""
+        entries) in one manifest batch."""
         rel = wal_name(lo)
         path = self._abs(rel)
         if os.path.exists(path):
@@ -229,15 +173,8 @@ class LevelledStore(Store):
         starts = ((),) + tuple(tuple(ck.key_range[0] for ck in row) for row in levels[1:])
         self._layout = (live, levels, starts)
 
-    def _manifest_commit_locked(self, entries: list[ManifestEntry],
-                                ts: int | None = None) -> None:
-        ts = max(self._last_ct, 0) if ts is None else ts
-        txn = TransactionDescriptor(f"m{self._mseq}", st=ts, ct=ts)
-        self._mseq += 1
-        self._manifest.do_begin(txn)
-        for e in entries:
-            self._manifest.append_manifest(txn, encode_manifest_entry(e))
-        self._manifest.do_commit(txn)
+    def _manifest_commit_locked(self, entries: list[ManifestEntry]) -> None:
+        self._manifest.append(max(self._last_ct, 0), entries)
 
     # -- Store protocol -------------------------------------------------------
 
@@ -488,7 +425,7 @@ class LevelledStore(Store):
         ranges stay disjoint); a result that outgrows twice the rotation size
         is split. Only those targets are rewritten, and nothing is persisted
         until the whole pass is built: the old layout stays intact until the
-        manifest transaction commits.
+        manifest batch is durable.
         """
         _, levels, _ = self._layout
         before = levels[level + 1]
@@ -586,50 +523,36 @@ def _fresh_map() -> MapStore:
 
 # -- recovery -------------------------------------------------------------------
 
-def replay_manifest(manifest: PersistentJournal) -> tuple[dict[str, ManifestEntry],
-                                                          list[dict[str, ManifestEntry]],
-                                                          int, int, int]:
-    """Fold the committed manifest transactions into the referenced layout.
+def replay_manifest(batches: list[Batch]) -> tuple[dict[str, ManifestEntry],
+                                                  list[dict[str, ManifestEntry]],
+                                                  int, int]:
+    """Fold the logged manifest batches, oldest first, into the referenced
+    layout.
 
-    Returns (live adds by path, per-level adds by path, next fid, next mseq,
-    max ts seen in committed manifest records).
+    Returns (live adds by path, per-level adds by path, next fid, max batch
+    ts).
     """
     live: dict[str, ManifestEntry] = {}
     levels: list[dict[str, ManifestEntry]] = []
     max_fid = -1
-    max_mseq = -1
     max_ts = -1
-    pending: dict[str, list] = {}
-    for rec in manifest.records():
-        if rec.kind == RecordKind.BEGIN:
-            pending[rec.txn_id] = []
-        elif rec.kind == RecordKind.MANIFEST:
-            if rec.txn_id in pending:
-                pending[rec.txn_id].append(rec.payload)
-        elif rec.kind == RecordKind.ABORT:
-            pending.pop(rec.txn_id, None)
-        elif rec.kind == RecordKind.COMMIT:
-            payloads = pending.pop(rec.txn_id, [])
-            if rec.ts > max_ts:
-                max_ts = rec.ts
-            m = re.fullmatch(r"m(\d+)", rec.txn_id)
-            if m:
-                max_mseq = max(max_mseq, int(m.group(1)))
-            for payload in payloads:
-                entry = decode_manifest_entry(payload)
-                fm = _CKPT_RE.search(entry.path)
-                if fm:
-                    max_fid = max(max_fid, int(fm.group(1)))
-                while entry.level >= len(levels):
-                    levels.append({})
-                target = live if entry.level == LIVE_LEVEL else levels[entry.level]
-                if entry.action == ManifestAction.ADD:
-                    target[entry.path] = entry
-                else:
-                    target.pop(entry.path, None)
+    for ts, entries in batches:
+        if ts > max_ts:
+            max_ts = ts
+        for entry in entries:
+            fm = _CKPT_RE.search(entry.path)
+            if fm:
+                max_fid = max(max_fid, int(fm.group(1)))
+            while entry.level >= len(levels):
+                levels.append({})
+            target = live if entry.level == LIVE_LEVEL else levels[entry.level]
+            if entry.action == ManifestAction.ADD:
+                target[entry.path] = entry
+            else:
+                target.pop(entry.path, None)
     for lvl in range(1, len(levels)):
         levels[lvl] = _key_ordered(lvl, levels[lvl])
-    return live, levels, max_fid + 1, max_mseq + 1, max_ts
+    return live, levels, max_fid + 1, max_ts
 
 
 def _key_ordered(level: int, refs: dict[str, ManifestEntry]) -> dict[str, ManifestEntry]:
@@ -656,23 +579,6 @@ def first_overlap(row: list[tuple[str, tuple[str, str]]]) -> tuple[str, str] | N
     return None
 
 
-def _recover_manifest(path: str) -> PersistentJournal:
-    """PersistentJournal.recover, except that a bad frame with a whole valid
-    frame after it raises IntegrityError and leaves the file as it is.
-
-    Edits are written and fsynced one batch at a time, so a crash can tear
-    only the tail; cutting the log at a bad frame in the middle would drop
-    every later edit for good.
-    """
-    with open(path, "rb") as f:
-        data = f.read()
-    _, valid_end = codec.scan_frames(data)
-    if valid_end < len(data) and codec.frame_after(data, valid_end):
-        raise IntegrityError(
-            f"{path}: bad frame at byte {valid_end} with valid frames after it")
-    return PersistentJournal.recover(path)
-
-
 def recover_engine(directory: str, config: EngineConfig | None = None
                    ) -> tuple[LevelledStore, int]:
     """Rebuild an engine from its directory.
@@ -685,10 +591,10 @@ def recover_engine(directory: str, config: EngineConfig | None = None
     mpath = os.path.join(directory, MANIFEST_NAME)
     if not os.path.exists(mpath):
         raise StoreError(f"no engine manifest in {directory}")
-    manifest = _recover_manifest(mpath)
+    manifest, batches = ManifestLog.recover(mpath)
     faults.fire("during-recovery-step-0", path=mpath)
 
-    live_refs, level_refs, fid, mseq, max_manifest_ts = replay_manifest(manifest)
+    live_refs, level_refs, fid, max_manifest_ts = replay_manifest(batches)
     faults.fire("during-recovery-step-1")
 
     highest = max(0, max_manifest_ts)
@@ -795,12 +701,7 @@ def recover_engine(directory: str, config: EngineConfig | None = None
                                      Window(coverage_hi, None)))
 
     if entries:
-        txn = TransactionDescriptor(f"m{mseq}", st=highest, ct=highest)
-        mseq += 1
-        manifest.do_begin(txn)
-        for e in entries:
-            manifest.append_manifest(txn, encode_manifest_entry(e))
-        manifest.do_commit(txn)
+        manifest.append(highest, entries)
     faults.fire("during-recovery-step-4")
 
     for rel in pushed:
@@ -811,7 +712,7 @@ def recover_engine(directory: str, config: EngineConfig | None = None
 
     engine = LevelledStore(directory, config, manifest,
                            live=[fresh], levels=levels,
-                           horizon=horizon, last_ct=highest, fid=fid, mseq=mseq)
+                           horizon=horizon, last_ct=highest, fid=fid)
     faults.fire("during-recovery-step-5")
     return engine, highest
 

@@ -100,7 +100,6 @@ class JournalStore(TxnLifecycleMixin, Store):
             self._committed_keys.update(writes)
         elif rec.kind == RecordKind.ABORT:
             self._live_writes.pop(rec.txn_id, None)
-        # MANIFEST records carry no KV state
 
     def records(self) -> list[JournalRecord]:
         with self._lock:

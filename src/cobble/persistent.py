@@ -1,4 +1,4 @@
-"""Crash-tolerant logs: the persistent journal and the thin commit log.
+"""Crash-tolerant logs: the persistent journal and two thin frame logs.
 
 PersistentJournal has the in-memory journal's read semantics; every append
 is also framed into a log file. Commit acknowledgment happens only after
@@ -6,9 +6,11 @@ fsync. Recovery scans the longest valid frame prefix, truncates torn bytes,
 and appends abort records for transactions the crash left unterminated, so
 a second recovery pass is a byte-identical no-op.
 
-CommitLog answers no reads: after a crash, recovery folds its commits
-straight into a checkpoint, so it writes one frame per committed
-transaction and keeps nothing in memory.
+CommitLog and ManifestLog answer no reads and keep nothing in memory: each
+writes one CRC frame per committed transaction or per batch of engine
+layout edits, with one write and one fsync, and recovery returns the
+decoded frames for the engine to fold. Both share one scan: a torn tail is
+cut, and a bad frame with a valid one after it raises IntegrityError.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .memory import JournalStore
 from .store import (
     IntegrityError,
     JournalRecord,
+    ManifestEntry,
     RecordKind,
     StoreError,
     TransactionDescriptor,
@@ -31,23 +34,27 @@ from .store import (
 
 
 class _FrameFile:
-    """The append-only frame file under both logs.
+    """The append-only frame file under every log.
 
     Opened unbuffered, so a process crash never holds frames hostage in
     userspace and close() can never leak an unacknowledged commit. After an
     I/O error the file is rolled back to its durable prefix, so a commit
     whose write or fsync failed can never surface after recovery, and the
     log stays failed.
+
+    A log whose frames are read back through scan and recover sets _decode,
+    which turns one payload into one item or raises IntegrityError.
     """
 
-    def _open_frames(self, path: str, recovered: bool) -> None:
-        if not recovered and os.path.exists(path) and os.path.getsize(path) > 0:
+    def __init__(self, path: str, _recovered: bool = False):
+        if not _recovered and os.path.exists(path) and os.path.getsize(path) > 0:
             raise StoreError(f"{path} already has content; use {type(self).__name__}.recover")
         self._path = path
         self._failed = False
         self._f = open(path, "ab", buffering=0)
         self._size = os.path.getsize(path)
         self._durable_offset = self._size
+        self._lock = threading.Lock()
 
     @property
     def path(self) -> str:
@@ -90,16 +97,58 @@ class _FrameFile:
             self._fail("flush", exc)
         self._durable_offset = self._size
 
+    def _append_durably(self, payload: bytes) -> None:
+        """One frame, one write and one fsync; returns once it is durable."""
+        with self._lock:
+            self._write_frame(payload)
+            self._sync()
+
     def close(self) -> None:
         try:
             self._f.close()
         except OSError:
             pass
 
+    @classmethod
+    def scan(cls, path: str) -> tuple[list, int | None]:
+        """Read and decode an existing log without changing it.
+
+        Returns the decoded frames in log order, and the offset to cut a
+        torn tail at, or None when the log ends cleanly. A torn tail, or one
+        that fails its CRC, is left out. Frames are written and fsynced one
+        at a time, so a crash can tear only the last one: a bad frame with a
+        valid frame after it, or a frame that passes its CRC but does not
+        decode, raises IntegrityError.
+        """
+        if not os.path.exists(path):
+            raise StoreError(f"no log at {path}")
+        with open(path, "rb") as f:
+            data = f.read()
+        payloads, valid_end = codec.scan_frames(data)
+        items = [cls._decode(p) for p in payloads]
+        if valid_end == len(data):
+            return items, None
+        if codec.frame_after(data, valid_end):
+            raise IntegrityError(
+                f"{path}: bad frame at byte {valid_end} with valid frames after it")
+        return items, valid_end
+
+    @classmethod
+    def recover(cls, path: str) -> tuple["_FrameFile", list]:
+        """Open an existing log; returns it and its frames as scan does.
+
+        A torn tail is truncated, so a second recovery leaves the file
+        byte-identical; on IntegrityError the file stays as it is.
+        """
+        items, cut = cls.scan(path)
+        if cut is not None:
+            os.truncate(path, cut)
+        return cls(path, _recovered=True), items
+
 
 class PersistentJournal(JournalStore, _FrameFile):
     def __init__(self, path: str, _records: list[JournalRecord] | None = None):
-        self._open_frames(path, recovered=_records is not None)
+        _FrameFile.__init__(self, path, _recovered=_records is not None)
         super().__init__()
         if _records:
             for rec in _records:
@@ -123,12 +172,6 @@ class PersistentJournal(JournalStore, _FrameFile):
             self._append(JournalRecord(RecordKind.COMMIT, txn.txn_id, txn.ct))
             self._sync()  # commit is acknowledged only once durable
         self._txn_terminate(txn.txn_id)
-
-    def append_manifest(self, txn: TransactionDescriptor, payload: bytes) -> None:
-        """Attach an opaque manifest entry to an open transaction."""
-        self._txn_check_active(txn.txn_id)
-        with self._lock:
-            self._append(JournalRecord(RecordKind.MANIFEST, txn.txn_id, payload=payload))
 
     @classmethod
     def recover(cls, path: str) -> "PersistentJournal":
@@ -162,6 +205,8 @@ class PersistentJournal(JournalStore, _FrameFile):
 
 # one logged commit: (st, ct, writes)
 Commit = tuple[int, int, list[Write]]
+# one logged batch of layout edits: (ts, entries)
+Batch = tuple[int, list[ManifestEntry]]
 
 
 class CommitLog(_FrameFile):
@@ -171,12 +216,11 @@ class CommitLog(_FrameFile):
     nothing: a transaction that never commits leaves no trace, so recovery
     has nothing to abort. Commit is one write plus one fsync and is
     acknowledged only once durable. The log keeps only its file and the
-    durable offset.
+    durable offset. scan and recover give each commit as
+    codec.decode_commit does.
     """
 
-    def __init__(self, path: str, _recovered: bool = False):
-        self._open_frames(path, _recovered)
-        self._lock = threading.Lock()
+    _decode = staticmethod(codec.decode_commit)
 
     def do_begin(self, txn: TransactionDescriptor) -> None:
         pass
@@ -192,44 +236,19 @@ class CommitLog(_FrameFile):
             raise StoreError(f"commit of txn {txn.txn_id!r} without a ct")
         if txn.st > txn.ct:
             raise StoreError(f"txn {txn.txn_id!r} has its st {txn.st} after its ct {txn.ct}")
-        payload = codec.encode_commit(txn.st, txn.ct, txn.effect_buffer)
-        with self._lock:
-            self._write_frame(payload)
-            self._sync()
+        self._append_durably(codec.encode_commit(txn.st, txn.ct, txn.effect_buffer))
 
-    @staticmethod
-    def scan(path: str) -> tuple[list[Commit], int | None]:
-        """Read and decode an existing log without changing it.
 
-        Returns its commits as (st, ct, writes), with each write a flat
-        (key, base or None, delta) as codec.decode_commit gives it, and the
-        offset to cut a torn tail at, or None when the log ends cleanly. A
-        torn tail, or one that fails its CRC, is left out. Frames are written
-        and fsynced one at a time, so a crash can tear only the last one: a
-        bad frame with a valid frame after it, or a frame that passes its CRC
-        but does not decode, raises IntegrityError.
-        """
-        if not os.path.exists(path):
-            raise StoreError(f"no commit log at {path}")
-        with open(path, "rb") as f:
-            data = f.read()
-        payloads, valid_end = codec.scan_frames(data)
-        commits = [codec.decode_commit(p) for p in payloads]
-        if valid_end == len(data):
-            return commits, None
-        if codec.frame_after(data, valid_end):
-            raise IntegrityError(
-                f"{path}: bad frame at byte {valid_end} with valid frames after it")
-        return commits, valid_end
+class ManifestLog(_FrameFile):
+    """The engine's MANIFEST: one CRC frame per batch of layout edits.
 
-    @classmethod
-    def recover(cls, path: str) -> tuple["CommitLog", list[Commit]]:
-        """Open an existing log; returns it and its commits as scan does.
+    A batch is (ts, entries) with ts the engine's last commit timestamp, and
+    is applied whole or not at all: append is one write plus one fsync, and
+    recovery drops a torn last batch whole. scan and recover give each batch
+    as (ts, entries).
+    """
 
-        A torn tail is truncated, so a second recovery leaves the file
-        byte-identical; on IntegrityError the file stays as it is.
-        """
-        commits, cut = cls.scan(path)
-        if cut is not None:
-            os.truncate(path, cut)
-        return cls(path, _recovered=True), commits
+    _decode = staticmethod(codec.decode_batch)
+
+    def append(self, ts: int, entries: list[ManifestEntry]) -> None:
+        self._append_durably(codec.encode_batch(ts, entries))

@@ -63,7 +63,6 @@ class RecordKind(IntEnum):
     UPDATE = 1
     COMMIT = 2
     ABORT = 3
-    MANIFEST = 4
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,6 +84,22 @@ class Window:
         return self.lo < read_st
 
 
+class ManifestAction(IntEnum):
+    ADD = 0
+    REMOVE = 1
+
+
+@dataclass(frozen=True)
+class ManifestEntry:
+    """One layout edit of the levelled engine, logged in its MANIFEST."""
+
+    action: ManifestAction
+    level: int  # -1 = live
+    path: str  # relative to the engine directory
+    window: Window
+    key_range: tuple[str, str] | None = None
+
+
 @dataclass(frozen=True, slots=True)
 class JournalRecord:
     kind: RecordKind
@@ -92,7 +107,6 @@ class JournalRecord:
     ts: int = 0  # st for BEGIN, ct for COMMIT, zero elsewhere
     key: str | None = None
     effect: Effect | None = None
-    payload: bytes | None = None  # opaque body of MANIFEST records
 
 
 @dataclass

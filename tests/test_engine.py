@@ -20,15 +20,13 @@ from cobble.engine import (
     LevelledStore,
     ManifestAction,
     ManifestEntry,
-    decode_manifest_entry,
-    encode_manifest_entry,
     open_engine,
     recover_engine,
     replay_manifest,
 )
 from cobble.faults import CrashProcess, FaultPlan, InjectedCrash
 from cobble.oracle import Trace, generate_trace, replay, valuation_effect
-from cobble.persistent import PersistentJournal
+from cobble.persistent import CommitLog, ManifestLog
 from cobble.store import (
     IntegrityError,
     StaleSnapshotError,
@@ -720,51 +718,128 @@ class TestPackedMerge:
         back.close()
 
 
+# a fresh engine's MANIFEST in the layout the batch frames replaced: a
+# journal transaction "m0" of BEGIN, one MANIFEST record adding wal-0.log as
+# the live pair, and COMMIT, one CRC frame each
+_JOURNAL_LAYOUT_MANIFEST = bytes.fromhex(
+    "43424c450d0000000002006d3000000000000000000f9767e9"
+    "43424c452b0000000402006d3000000000000000000000090077616c2d302e6c6f67"
+    "0000000000000000ffffffffffffffff0037cee756"
+    "43424c450d0000000202006d30000000000000000044223b89")
+
+
 class TestManifest:
+    ENTRIES = [
+        ManifestEntry(ManifestAction.ADD, -1, "wal-0.log", Window(0, None)),
+        ManifestEntry(ManifestAction.REMOVE, 0, "ckpt-0-0-5-1.cb", Window(0, 5)),
+        ManifestEntry(ManifestAction.ADD, 2, "ckpt-2-3-9-4.cb", Window(3, 9),
+                      key_range=("alpha", "omega")),
+    ]
+
     def test_entry_codec_round_trip(self):
-        cases = [
-            ManifestEntry(ManifestAction.ADD, -1, "wal-0.log", Window(0, None)),
-            ManifestEntry(ManifestAction.REMOVE, 0, "ckpt-0-0-5-1.cb", Window(0, 5)),
-            ManifestEntry(ManifestAction.ADD, 2, "ckpt-2-3-9-4.cb", Window(3, 9),
-                          key_range=("alpha", "omega")),
-        ]
-        for e in cases:
-            assert decode_manifest_entry(encode_manifest_entry(e)) == e
+        for ts, entries in ((7, []), (0, self.ENTRIES[:1]), ((1 << 64) - 1, self.ENTRIES)):
+            assert codec.decode_batch(codec.encode_batch(ts, entries)) == (ts, entries)
+
+    def test_every_strict_prefix_of_a_batch_raises(self):
+        payload = codec.encode_batch(3, self.ENTRIES)
+        ends = {len(codec.encode_batch(3, self.ENTRIES[:n])) for n in range(4)}
+        for cut in range(len(payload)):
+            if cut in ends:  # a whole batch of fewer entries
+                continue
+            with pytest.raises(IntegrityError, match="bad manifest batch"):
+                codec.decode_batch(payload[:cut])
 
     def test_add_then_remove_leaves_path_dead(self, tmp_path):
         path = str(tmp_path / "MANIFEST")
-        j = PersistentJournal(path)
-        e_add = ManifestEntry(ManifestAction.ADD, -1, "wal-0.log", Window(0, None))
-        e_rm = ManifestEntry(ManifestAction.REMOVE, -1, "wal-0.log", Window(0, 5))
-        for i, entry in enumerate([e_add, e_rm]):
-            txn = TransactionDescriptor(f"m{i}", st=0, ct=0)
-            j.do_begin(txn)
-            j.append_manifest(txn, encode_manifest_entry(entry))
-            j.do_commit(txn)
-        live, levels, fid, mseq, _ = replay_manifest(j)
+        log = ManifestLog(path)
+        log.append(0, [ManifestEntry(ManifestAction.ADD, -1, "wal-0.log", Window(0, None))])
+        log.append(4, [ManifestEntry(ManifestAction.REMOVE, -1, "wal-0.log", Window(0, 5)),
+                       ManifestEntry(ManifestAction.ADD, 0, "ckpt-0-0-5-6.cb", Window(0, 5))])
+        log.close()
+        log, batches = ManifestLog.recover(path)
+        log.close()
+        live, levels, fid, ts = replay_manifest(batches)
         assert live == {}
-        assert mseq == 2
-        j.close()
+        assert list(levels[0]) == ["ckpt-0-0-5-6.cb"]
+        assert (fid, ts) == (7, 4)
 
-    def test_uncommitted_trailing_entries_ignored(self, tmp_path):
+    def test_torn_last_batch_is_dropped_whole(self, tmp_path):
+        """A torn last batch is dropped whole and every batch before it replays."""
         path = str(tmp_path / "MANIFEST")
-        j = PersistentJournal(path)
-        txn = TransactionDescriptor("m0", st=0, ct=0)
-        j.do_begin(txn)
-        j.append_manifest(txn, encode_manifest_entry(
-            ManifestEntry(ManifestAction.ADD, -1, "wal-0.log", Window(0, None))))
-        j.do_commit(txn)
-        dangling = TransactionDescriptor("m1", st=0, ct=0)
-        j.do_begin(dangling)
-        j.append_manifest(dangling, encode_manifest_entry(
-            ManifestEntry(ManifestAction.ADD, 0, "ckpt-0-0-5-0.cb", Window(0, 5))))
-        j.flush()
-        j.close()  # crash: commit never written
-        back = PersistentJournal.recover(path)
-        live, levels, fid, mseq, _ = replay_manifest(back)
-        assert set(live) == {"wal-0.log"}
-        assert all(not row for row in levels)
-        back.close()
+        log = ManifestLog(path)
+        log.append(0, [ManifestEntry(ManifestAction.ADD, -1, "wal-0.log", Window(0, None))])
+        log.append(2, [ManifestEntry(ManifestAction.ADD, 0, "ckpt-0-0-2-0.cb", Window(0, 2))])
+        whole = log.durable_offset
+        log.append(5, [ManifestEntry(ManifestAction.REMOVE, -1, "wal-0.log", Window(0, 6)),
+                       ManifestEntry(ManifestAction.ADD, 0, "ckpt-0-2-6-1.cb", Window(2, 6))])
+        log.close()
+        faults.truncate_file(path, -3)
+        for _ in range(2):
+            log, batches = ManifestLog.recover(path)
+            log.close()
+            assert os.path.getsize(path) == whole
+            live, levels, fid, ts = replay_manifest(batches)
+            assert set(live) == {"wal-0.log"}
+            assert list(levels[0]) == ["ckpt-0-0-2-0.cb"]
+            assert (fid, ts) == (1, 2)
+
+    def test_one_frame_per_batch(self, tmp_path, monkeypatch):
+        appended = []
+        real_append = ManifestLog.append
+
+        def append(log, ts, entries):
+            appended.append((ts, entries))
+            real_append(log, ts, entries)
+
+        monkeypatch.setattr(ManifestLog, "append", append)
+        d = str(tmp_path / "db")
+        engine = LevelledStore.create(d, small_config(live_capacity=2, wmp_rotate_effects=2))
+        for i in range(12):
+            run_txn(engine, f"t{i}", i, i + 1, [(f"k{i % 3}", Effect.incr(1)),
+                                                (f"j{i % 5}", Effect.assign(i))])
+        engine.close()
+        assert engine.stats["rotations"] == 12 and engine.stats["level_merges"] > 0
+        with open(os.path.join(d, "MANIFEST"), "rb") as f:
+            frames, _ = codec.scan_frames(f.read())
+        assert [codec.decode_batch(p) for p in frames] == appended
+
+    def test_journal_layout_and_undecodable_frames_raise_and_keep_file(self, tmp_path):
+        d = str(tmp_path / "db")
+        LevelledStore.create(d).close()
+        mpath = os.path.join(d, "MANIFEST")
+        with open(mpath, "rb") as f:
+            good = f.read()
+        payload = codec.encode_batch(0, self.ENTRIES)
+        for data in (_JOURNAL_LAYOUT_MANIFEST,
+                     good + codec.encode_frame(b"M" + payload[1:]),  # a bad tag
+                     good + codec.encode_frame(payload[:-3])):  # a truncated entry
+            with open(mpath, "wb") as f:
+                f.write(data)
+            before = _files(d)
+            for _ in range(2):
+                with pytest.raises(IntegrityError, match="bad manifest batch"):
+                    open_engine(d)
+                assert _files(d) == before
+
+    def test_write_less_trailing_log_dropped_keeps_its_cts(self, tmp_path):
+        """A trailing log whose commits wrote nothing, and whose window does
+        not start where the checkpoints end, is dropped on reopen; the
+        recovery batch's timestamp keeps its commit timestamps, so a
+        second reopen still restarts above them."""
+        d = str(tmp_path / "db")
+        _manifest_of(d, [ManifestEntry(ManifestAction.ADD, -1, "wal-9.log", Window(9, None))])
+        log = CommitLog(os.path.join(d, "wal-9.log"))
+        for ct in range(9, 31):
+            log.do_commit(TransactionDescriptor(f"t{ct}", st=ct - 1, ct=ct))
+        log.close()
+        engine, floor = open_engine(d, small_config())
+        assert floor == 30
+        assert [w for w, _ in engine.layout()["live"]] == ["wal-0.log"]
+        engine.close()
+        assert not os.path.exists(os.path.join(d, "wal-9.log"))
+        engine, floor = open_engine(d, small_config())
+        assert floor >= 30
+        engine.close()
 
     def test_replay_reconstructs_live_layout(self, tmp_path):
         d = str(tmp_path / "db")
@@ -775,13 +850,13 @@ class TestManifest:
         replay(engine, trace)
         want = engine.layout()
         engine.close()
-        manifest = PersistentJournal.recover(os.path.join(d, "MANIFEST"))
-        live, levels, _, _, _ = replay_manifest(manifest)
+        manifest, batches = ManifestLog.recover(os.path.join(d, "MANIFEST"))
+        manifest.close()
+        live, levels, _, _ = replay_manifest(batches)
         assert [e.path for e in live.values()] == [p for p, _ in want["live"]]
         for lvl, row in enumerate(levels):
             assert [e.path for e in row.values()] == [
                 p for p, _, _ in want["levels"][lvl]]
-        manifest.close()
 
 
 def build_engine_dir(d: str, seed=13, txn_count=40, compact_every=None) -> object:
@@ -938,15 +1013,11 @@ class TestRecovery:
 
 
 def _manifest_of(d: str, entries: list[ManifestEntry]) -> None:
-    """Write a MANIFEST holding entries as one committed batch."""
+    """Write a MANIFEST holding entries as one batch."""
     os.makedirs(d, exist_ok=True)
-    j = PersistentJournal(os.path.join(d, "MANIFEST"))
-    txn = TransactionDescriptor("m0", st=0, ct=0)
-    j.do_begin(txn)
-    for e in entries:
-        j.append_manifest(txn, encode_manifest_entry(e))
-    j.do_commit(txn)
-    j.close()
+    log = ManifestLog(os.path.join(d, "MANIFEST"))
+    log.append(0, entries)
+    log.close()
 
 
 class TestLevelChecksOnOpen:

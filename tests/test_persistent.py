@@ -38,12 +38,16 @@ class TestRecordCodec:
         JournalRecord(RecordKind.UPDATE, "x", 0, key="key9", effect=Effect(5, 2)),
         JournalRecord(RecordKind.COMMIT, "t1", 9),
         JournalRecord(RecordKind.ABORT, "zzz", 0),
-        JournalRecord(RecordKind.MANIFEST, "m1", 4, payload=b"\x01\x02\x00"),
     ]
 
     def test_round_trip(self):
         for rec in self.RECORDS:
             assert codec.decode_record(codec.encode_record(rec)) == rec
+        # kind 4 was the engine's MANIFEST record, now a frame log of its own
+        for payload in (b"\x04\x02\x00m1" + bytes(8) + b"\x01\x02\x00",
+                        codec.encode_batch(4, [])):
+            with pytest.raises(IntegrityError, match="bad record payload"):
+                codec.decode_record(payload)
 
     def test_random_round_trip(self):
         rng = random.Random(7)

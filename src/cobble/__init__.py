@@ -17,7 +17,7 @@ from .store import (
 )
 from .memory import JournalStore, MapStore
 from .persistent import PersistentJournal
-from .composition import Checkpoint, ComposedStore, WALMemtablePair
+from .composition import Checkpoint, WALMemtablePair
 from .engine import (
     EngineConfig,
     LevelledStore,
@@ -36,7 +36,7 @@ __all__ = [
     "IntegrityError", "StoreError", "TransactionDescriptor",
     "TransactionError", "Window", "WindowError",
     "JournalStore", "MapStore", "PersistentJournal",
-    "Checkpoint", "ComposedStore", "WALMemtablePair",
+    "Checkpoint", "WALMemtablePair",
     "EngineConfig", "LevelledStore", "StaleSnapshotError",
     "open_engine", "recover_engine",
     "CommitResult", "TransactionCoordinator", "TransactionManager",

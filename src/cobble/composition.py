@@ -1,9 +1,9 @@
-"""Store composition: windowed ministores, the WAL+memtable pair, checkpoints.
+"""Store composition: the WAL+memtable pair and checkpoints.
 
-Writes fan out to every ministore whose window contains the transaction's
-timestamp; reads route to one covering ministore (lowest read priority).
-A checkpoint freezes a sealed store's consolidated state at its window top,
-packed as one sorted key run with columnar effects.
+The pair is the write-all/read-one composition: a commit goes to the log
+(durable) and then to the memtable, and every read goes to the memtable
+alone. A checkpoint freezes a sealed store's consolidated state at its
+window top, packed as one sorted key run with columnar effects.
 """
 
 from __future__ import annotations
@@ -11,89 +11,14 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .effects import Effect, effect_from_i64, wrap_i64
 from .memory import MapStore
 from .persistent import Commit, CommitLog, PersistentJournal
-from .store import (
-    Store,
-    StoreError,
-    TransactionDescriptor,
-    Window,
-    WindowError,
-    check_key,
-)
-
-READ_PRIORITY_MAP = 0
-READ_PRIORITY_WAL = 1
+from .store import Store, StoreError, TransactionDescriptor, Window, WindowError, check_key
 
 _ct = itemgetter(1)
-
-
-@dataclass
-class Ministore:
-    store: Store
-    window: Window
-    read_priority: int
-
-
-class ComposedStore(Store):
-    """Write-all / read-one composition of ministores."""
-
-    def __init__(self, ministores: list[Ministore]):
-        if not ministores:
-            raise StoreError("composition needs at least one ministore")
-        self.ministores = list(ministores)
-
-    @property
-    def window(self) -> Window:
-        lo = min(m.window.lo for m in self.ministores)
-        his = [m.window.hi for m in self.ministores]
-        hi = None if any(h is None for h in his) else max(his)
-        return Window(lo, hi)
-
-    def _targets(self, ts: int) -> list[Ministore]:
-        targets = [m for m in self.ministores if m.window.contains(ts)]
-        if not targets:
-            raise WindowError(f"timestamp {ts} outside every ministore window")
-        return targets
-
-    def do_begin(self, txn: TransactionDescriptor) -> None:
-        for m in self._targets(txn.st):
-            m.store.do_begin(txn)
-
-    def do_update(self, txn: TransactionDescriptor, key: str, effect: Effect) -> None:
-        for m in self._targets(txn.st):
-            m.store.do_update(txn, key, effect)
-
-    def do_commit(self, txn: TransactionDescriptor) -> None:
-        if txn.ct is None:
-            raise StoreError("commit without a ct")
-        for m in self._targets(txn.ct):
-            m.store.do_commit(txn)
-
-    def do_abort(self, txn: TransactionDescriptor) -> None:
-        for m in self._targets(txn.st):
-            m.store.do_abort(txn)
-
-    def lookup(self, key: str, read_st: int,
-               txn: TransactionDescriptor | None = None) -> Effect | None:
-        window = self.window
-        if read_st < window.lo:
-            raise WindowError(f"read_st {read_st} not covered (window starts at {window.lo})")
-        # a ministore can answer iff it holds the composition's entire
-        # history below read_st (or below its sealed top, which then is all
-        # there is)
-        needed = read_st if window.hi is None else min(read_st, window.hi)
-        coverers = [m for m in self.ministores
-                    if m.window.lo == window.lo
-                    and (m.window.hi is None or m.window.hi >= needed)]
-        if not coverers:
-            raise WindowError(f"no single ministore covers read_st {read_st}")
-        best = min(coverers, key=lambda m: m.read_priority)
-        return best.store.lookup(key, read_st, txn)
 
 
 class WALMemtablePair(Store):
@@ -101,9 +26,11 @@ class WALMemtablePair(Store):
 
     The log is read only after a crash, when recovery folds it straight
     into a checkpoint; reads come from the memtable alone. A commit reaches
-    the log first (acknowledged after fsync), then the memtable. The
-    engine's log is a CommitLog, which writes nothing before commit; any log
-    with the store write protocol fits, a PersistentJournal included.
+    the log first (acknowledged after fsync), then the memtable. Begin,
+    update and abort go to the log alone, so the log is the pair's only
+    transaction lifecycle: the engine's CommitLog keeps none (the engine's
+    pins decide every transaction), and a standalone pair over a
+    PersistentJournal gets the journal's.
     """
 
     def __init__(self, wal: CommitLog | PersistentJournal, memtable: MapStore,
@@ -122,35 +49,29 @@ class WALMemtablePair(Store):
     def sealed(self) -> bool:
         return self._window.hi is not None
 
-    @property
-    def last_ct(self) -> int | None:
-        return self._last_ct
-
     def do_begin(self, txn: TransactionDescriptor) -> None:
         if self.sealed:
             raise StoreError("begin on a sealed pair")
         self.wal.do_begin(txn)
-        self.memtable.do_begin(txn)
 
     def do_update(self, txn: TransactionDescriptor, key: str, effect: Effect) -> None:
         self.wal.do_update(txn, key, effect)
-        self.memtable.do_update(txn, key, effect)
 
     def do_commit(self, txn: TransactionDescriptor) -> None:
-        # a commit the memtable would refuse must not leave a durable frame
-        self.memtable._txn_check_active(txn.txn_id)
+        # a commit the memtable would refuse must leave no durable frame
+        if self.sealed:
+            raise StoreError("commit on a sealed pair")
         self.wal.do_commit(txn)  # durability gate: fsync happens in here
-        self.memtable.do_commit(txn)
+        self.memtable.insert_committed(txn.ct, txn.st, txn.effect_buffer)
         self._count_commit(txn.ct, len(txn.effect_buffer))
 
-    def _count_commit(self, ct: int | None, n_effects: int) -> None:
+    def _count_commit(self, ct: int, n_effects: int) -> None:
         self.committed_effects += n_effects
-        if ct is not None and (self._last_ct is None or ct > self._last_ct):
+        if self._last_ct is None or ct > self._last_ct:
             self._last_ct = ct
 
     def do_abort(self, txn: TransactionDescriptor) -> None:
         self.wal.do_abort(txn)
-        self.memtable.do_abort(txn)
 
     def lookup(self, key: str, read_st: int,
                txn: TransactionDescriptor | None = None) -> Effect | None:

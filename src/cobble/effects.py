@@ -14,14 +14,6 @@ from dataclasses import dataclass
 _I64_SIGN = 1 << 63
 _U64_MASK = (1 << 64) - 1
 
-# instrumentation: bumped when a multi-member concurrent set is collapsed.
-counters = {"multi_collapse": 0}
-
-
-def reset_counters():
-    counters["multi_collapse"] = 0
-
-
 def wrap_i64(x: int) -> int:
     """Reduce x into [-2**63, 2**63) with two's-complement wrapping."""
     return ((x + _I64_SIGN) & _U64_MASK) - _I64_SIGN
@@ -142,8 +134,6 @@ def collapse(s: ConcurrentSet | frozenset | set) -> Effect:
     members = s.members if isinstance(s, ConcurrentSet) else frozenset(s)
     if not members:
         raise ValueError("collapse of empty concurrent set")
-    if len(members) > 1:
-        counters["multi_collapse"] += 1
     winner = None
     incr_sum = 0
     for m in members:

@@ -7,15 +7,20 @@ layout in memory changes; none of it stays in memory. A batch also records
 the last commit timestamp: once recovery drops a log that held no writes,
 that is the only trace of its commits.
 
-Each live pair's log holds one frame per committed transaction and serves
-no reads. A sealed pair is flushed into a level-0 checkpoint whose columns
-come straight from the memtable's per-key version lists. Level 0 holds
-checkpoints in age order with overlapping key ranges; every level >= 1 is a
-run of checkpoints sorted by key range with disjoint ranges, so a key lives
-in at most one checkpoint per level. A read walks the live pairs and level 0
-newest to oldest, then makes one bisect over each deeper level's range
-starts and at most one probe there, collecting per-slice effects until an
-assignment cuts history, and folds the slices oldest-first.
+Each live pair is the write-all/read-one composition: its log holds one
+frame per committed transaction and serves no reads, its memtable serves
+them all. A begin pins the transaction to the accepting pair, and that pin
+is the transaction's only lifecycle below the coordinator: it refuses a
+duplicate begin and an update, commit or abort of a transaction it does
+not hold, and the pair sees only the commit. A sealed pair is flushed into
+a level-0 checkpoint whose columns come straight from the memtable's
+per-key version lists. Level 0 holds checkpoints in age order with
+overlapping key ranges; every level >= 1 is a run of checkpoints sorted by
+key range with disjoint ranges, so a key lives in at most one checkpoint
+per level. A read walks the live pairs and level 0 newest to oldest, then
+makes one bisect over each deeper level's range starts and at most one
+probe there, collecting per-slice effects until an assignment cuts
+history, and folds the slices oldest-first.
 
 A level merge moves a source that overlaps nothing in the level below down
 whole, and otherwise folds it into only the checkpoints it overlaps.
@@ -69,15 +74,12 @@ class EngineConfig:
     live_capacity: int = 4
     wmp_rotate_effects: int = 4096
     level_capacities: tuple[int, ...] | None = None
-    isolation: str = "tcc"
 
     def __post_init__(self):
         if self.max_levels < 2:
             raise ValueError("need at least two levels")
         if self.live_capacity < 1 or self.wmp_rotate_effects < 1:
             raise ValueError("capacities must be positive")
-        if self.isolation not in ("tcc", "si"):
-            raise ValueError(f"unknown isolation {self.isolation!r}")
 
     def capacity(self, level: int) -> int:
         if self.level_capacities is not None:
@@ -179,24 +181,24 @@ class LevelledStore(Store):
     # -- Store protocol -------------------------------------------------------
 
     def do_begin(self, txn: TransactionDescriptor) -> None:
+        """Pin the txn to the accepting pair; the pair sees no begin."""
         with self._rotation_cond:
             while self._rotation_pending:
                 self._rotation_cond.wait()
+            if txn.txn_id in self._pins:
+                raise TransactionError(f"duplicate begin for txn {txn.txn_id!r}")
             wmp = self._layout[0][-1]
+            window = wmp.window
+            if window.hi is not None:  # a rotation failed after the seal
+                raise StoreError("begin on a sealed pair")
             # group-aligned windows: every version in a window must carry a
             # snapshot that covers all prior windows, else the per-window fold
             # would lose effects concurrent across the boundary
-            if txn.st < wmp.window.lo - 1:
+            if txn.st < window.lo - 1:
                 raise StaleSnapshotError(
-                    f"snapshot {txn.st} predates accepting window "
-                    f"[{wmp.window.lo}, ...)")
+                    f"snapshot {txn.st} predates accepting window [{window.lo}, ...)")
             self._pins[txn.txn_id] = wmp
             self._active_sts[txn.txn_id] = txn.st
-        try:
-            wmp.do_begin(txn)
-        except Exception:
-            self._release(txn.txn_id)
-            raise
 
     def _pinned(self, txn: TransactionDescriptor) -> WALMemtablePair:
         wmp = self._pins.get(txn.txn_id)
@@ -223,11 +225,8 @@ class LevelledStore(Store):
         self._maybe_compact()
 
     def do_abort(self, txn: TransactionDescriptor) -> None:
-        wmp = self._pinned(txn)
-        try:
-            wmp.do_abort(txn)
-        finally:
-            self._release(txn.txn_id)
+        self._pinned(txn)
+        self._release(txn.txn_id)
 
     def _release(self, txn_id: str) -> None:
         with self._rotation_cond:
@@ -638,9 +637,9 @@ def recover_engine(directory: str, config: EngineConfig | None = None
     # the old file after the swap would unlink the new one out from under us.
     adopted: WALMemtablePair | None = None
     if scans and not any(writes for _, _, writes in scans[-1][0]):
-        scans.pop()
+        commits, _ = scans.pop()  # its torn tail, if any, is cut above
         entry = live_entries.pop()
-        wal, commits = CommitLog.recover(os.path.join(directory, entry.path))
+        wal = CommitLog(os.path.join(directory, entry.path), _recovered=True)
         adopted = WALMemtablePair(wal, _fresh_map(), Window(entry.window.lo, None))
         adopted._wal_rel = entry.path
         for _, ct, _ in commits:

@@ -76,9 +76,6 @@ class Window:
     def is_open(self) -> bool:
         return self.hi is None
 
-    def contains(self, ts: int) -> bool:
-        return ts >= self.lo and (self.hi is None or ts < self.hi)
-
     def intersects_prefix(self, read_st: int) -> bool:
         """Does [lo, hi) intersect [0, read_st)? Prunes lookup probes."""
         return self.lo < read_st

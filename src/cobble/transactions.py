@@ -114,8 +114,9 @@ class TransactionCoordinator:
                 self._finish()
                 raise
             faults.fire("after-flush-before-notify")
-            for key in txn.effect_buffer:
-                mgr._write_index[key] = ct
+            if mgr.isolation == "si":
+                for key in txn.effect_buffer:
+                    mgr._write_index[key] = ct
             if ct > mgr._last_ct:
                 mgr._last_ct = ct
             mgr.gen.end_commit_notify(ct)
@@ -146,6 +147,8 @@ class TransactionManager:
         self._ids = itertools.count()
         self._id_lock = threading.Lock()
         self._active: dict[str, TransactionCoordinator] = {}
+        # key -> ct of its last commit, for si's conflict check; tcc reads
+        # nothing from it, so it stays empty there
         self._write_index: dict[str, int] = {}
         self._last_ct = -1
 

@@ -11,12 +11,10 @@ from cobble.effects import (
     StampedEffect,
     apply,
     collapse,
-    counters,
     decode_effect,
     encode_effect,
     evaluate,
     merge_sets,
-    reset_counters,
     wrap_i64,
 )
 
@@ -163,14 +161,6 @@ class TestMergeSets:
             if len(whole) == 0:
                 continue
             assert collapse(whole) == collapse(merge_sets(a, merge_sets(b, c)))
-
-    def test_multi_member_collapse_counter(self):
-        reset_counters()
-        collapse(ConcurrentSet.of(se(1, Effect.incr(1))))
-        assert counters["multi_collapse"] == 0
-        collapse(ConcurrentSet.of(se(1, Effect.incr(1)), se(2, Effect.incr(2))))
-        assert counters["multi_collapse"] == 1
-        reset_counters()
 
 
 class TestEncoding:

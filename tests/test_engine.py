@@ -24,14 +24,15 @@ from cobble.engine import (
     recover_engine,
     replay_manifest,
 )
-from cobble.faults import CrashProcess, FaultPlan, InjectedCrash
+from cobble.faults import CrashProcess, FailFlush, FaultPlan, InjectedCrash
 from cobble.oracle import Trace, generate_trace, replay, valuation_effect
-from cobble.persistent import CommitLog, ManifestLog
+from cobble.persistent import CommitLog, ManifestLog, _FrameFile
 from cobble.store import (
     IntegrityError,
     StaleSnapshotError,
     StoreError,
     TransactionDescriptor,
+    TransactionError,
     Window,
     WindowError,
 )
@@ -80,8 +81,6 @@ class TestConfig:
             EngineConfig(live_capacity=0)
         with pytest.raises(ValueError):
             EngineConfig(wmp_rotate_effects=0)
-        with pytest.raises(ValueError):
-            EngineConfig(isolation="serializable")
 
 
 class TestCreateOpen:
@@ -280,6 +279,100 @@ class TestLookupPath:
             coord.abort()
         with pytest.raises(StoreError):
             manager.read_at("", manager.last_commit_ts + 1)
+        engine.close()
+
+
+class TestPins:
+    """The engine's pin is a transaction's only lifecycle below the
+    coordinator."""
+
+    def test_duplicate_begin_is_refused_and_keeps_the_first_pin(self, tmp_path):
+        engine = LevelledStore.create(
+            str(tmp_path / "db"), small_config(live_capacity=8, wmp_rotate_effects=2))
+        run_txn(engine, "t0", 0, 0, [("k", Effect.incr(1))])
+        run_txn(engine, "t1", 0, 1, [("k", Effect.incr(1))])  # seals [0, 2)
+        first = TransactionDescriptor("a", st=1)
+        engine.do_begin(first)
+        with pytest.raises(TransactionError, match="duplicate begin"):
+            engine.do_begin(TransactionDescriptor("a", st=1))
+        # the first txn's snapshot still holds the pair it may read back
+        engine.compact(force=True)
+        assert engine.stats["live_checkpoints"] == 0
+        assert engine.layout()["live"][0][1] == (0, 2)
+        first.effect_buffer["k"] = Effect.incr(1)
+        first.ct = 2
+        engine.do_commit(first)
+        engine.compact(force=True)  # [0, 2) and the pair first committed in
+        assert engine.stats["live_checkpoints"] == 2
+        assert effect_at(engine, "k", 3) == (None, 3)
+        engine.close()
+
+    def test_commit_of_an_unpinned_txn_writes_no_frame(self, tmp_path):
+        engine = LevelledStore.create(str(tmp_path / "db"), small_config())
+        done = TransactionDescriptor("a", st=0)
+        engine.do_begin(done)
+        done.effect_buffer["k"] = Effect.assign(1)
+        done.ct = 0
+        engine.do_commit(done)
+        aborted = TransactionDescriptor("b", st=1)
+        engine.do_begin(aborted)
+        engine.do_abort(aborted)
+        aborted.effect_buffer["k"] = Effect.assign(2)
+        aborted.ct = 1
+        never = TransactionDescriptor("c", st=1, ct=2, effect_buffer={"k": Effect.assign(3)})
+        wal = engine._layout[0][-1].wal
+        size = os.path.getsize(wal.path)
+        for txn in (done, aborted, never):
+            with pytest.raises(TransactionError, match="not active"):
+                engine.do_commit(txn)
+            assert os.path.getsize(wal.path) == size
+        done.ct = 3  # a double commit at a fresh ct is refused all the same
+        with pytest.raises(TransactionError):
+            engine.do_commit(done)
+        assert os.path.getsize(wal.path) == size
+        for txn in (done, never):
+            with pytest.raises(TransactionError):
+                engine.do_abort(txn)
+        assert engine._layout[0][-1].committed_effects == 1
+        assert effect_at(engine, "k", 5) == (1, 0)
+        engine.close()
+
+    def test_begin_after_a_failed_rotation_is_refused(self, tmp_path):
+        engine = LevelledStore.create(str(tmp_path / "db"), small_config(wmp_rotate_effects=1))
+        faults.install_plan(FaultPlan().arm("after-wal-write-before-manifest", FailFlush()))
+        with pytest.raises(OSError):  # the commit is durable; its rotation fails
+            run_txn(engine, "a", 0, 0, [("k", Effect.assign(1))])
+        assert engine.layout()["live"] == [("wal-0.log", (0, 1))]
+        with pytest.raises(StoreError, match="sealed"):
+            engine.do_begin(TransactionDescriptor("b", st=1))
+        assert engine._pins == {}
+        assert effect_at(engine, "k", 1) == (1, 0)
+        engine.close()
+
+    def test_pair_and_memtable_see_no_lifecycle(self, tmp_path, monkeypatch):
+        calls = {"do_begin": 0, "do_abort": 0}
+        for name in calls:
+            real = getattr(cobble.composition.WALMemtablePair, name)
+
+            def counting(wmp, txn, name=name, real=real):
+                calls[name] += 1
+                real(wmp, txn)
+            monkeypatch.setattr(cobble.composition.WALMemtablePair, name, counting)
+        engine = LevelledStore.create(
+            str(tmp_path / "db"), small_config(live_capacity=2, wmp_rotate_effects=4))
+        manager = TransactionManager(engine)
+        for i in range(60):
+            coord = manager.begin_txn()
+            coord.incr(f"k{i % 5}")
+            if i % 7 == 3:
+                coord.abort()
+            else:
+                assert coord.commit().committed
+        assert engine.stats["rotations"] > 2 and engine.stats["live_checkpoints"] > 2
+        assert calls == {"do_begin": 0, "do_abort": 0}
+        for wmp in engine._layout[0]:
+            assert wmp.memtable._txn_states == {}
+        assert engine._pins == {}
         engine.close()
 
 
@@ -839,6 +932,28 @@ class TestManifest:
         assert not os.path.exists(os.path.join(d, "wal-9.log"))
         engine, floor = open_engine(d, small_config())
         assert floor >= 30
+        engine.close()
+
+    def test_reopen_reads_each_log_once(self, tmp_path, monkeypatch):
+        # the adopted trailing log is opened with the commits its scan read
+        d = str(tmp_path / "db")
+        engine = LevelledStore.create(d, small_config())
+        for i in range(5):
+            run_txn(engine, f"t{i}", max(0, i - 1), i, [])
+        engine.close()
+        real = _FrameFile.__dict__["scan"].__func__
+        scanned = []
+
+        def counting(cls, path):
+            scanned.append(os.path.basename(path))
+            return real(cls, path)
+        monkeypatch.setattr(_FrameFile, "scan", classmethod(counting))
+        engine, floor = open_engine(d, small_config())
+        assert sorted(scanned) == ["MANIFEST", "wal-0.log"]
+        assert floor == 4
+        assert [w for w, _ in engine.layout()["live"]] == ["wal-0.log"]
+        run_txn(engine, "t5", 4, 5, [("k", Effect.incr(1))])
+        assert effect_at(engine, "k", 6) == (None, 1)
         engine.close()
 
     def test_replay_reconstructs_live_layout(self, tmp_path):

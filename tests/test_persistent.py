@@ -416,10 +416,11 @@ class TestCommitLog:
                 oracle.do_commit(txn)
             back = rebuild_wmp(cut_path, lo=0)
             assert os.path.getsize(cut_path) == (ends[kept - 1] if kept else 0)
-            assert back.last_ct == (kept or None)
             for key in (f"k{i}" for i in range(6)):
                 for rs in range(1, 32):
                     assert eff_tuple(back, key, rs) == eff_tuple(oracle, key, rs)
+            # the window closes one past the last recovered ct
+            assert back.seal() == Window(0, kept + 1 if kept else 0)
             back.wal.close()
 
     def test_failed_flush_rolls_the_frame_back(self, tmp_path):

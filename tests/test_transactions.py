@@ -238,6 +238,16 @@ class TestCycleFreeConcurrentCommits:
         assert t1.commit().committed
         assert not t2.commit().committed
 
+    def test_write_index_stays_empty(self):
+        # only si's conflict check reads it, so tcc keeps no entry per key
+        mgr = manager("tcc")
+        for i in range(20):
+            commit_value(mgr, f"k{i}", i)
+        assert mgr._write_index == {}
+        si = manager("si")
+        commit_value(si, "k", 1)
+        assert list(si._write_index) == ["k"]
+
 
 class TestReadAt:
     def test_read_at_walks_history(self):

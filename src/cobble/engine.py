@@ -1,11 +1,15 @@
 """Levelled store engine: live pairs (a commit log plus a memtable) on top,
 checkpoint levels below, a MANIFEST recording every structural change.
 
-Each layout change (a new pair, a checkpoint, a merge, a recovery) is one
-MANIFEST batch of ADD/REMOVE entries, made durable as one frame before the
-layout in memory changes; none of it stays in memory. A batch also records
-the last commit timestamp: once recovery drops a log that held no writes,
-that is the only trace of its commits.
+Every file takes its name from one counter: wal-{fid}.log for a commit log,
+ckpt-{fid}.cb for a checkpoint, wherever it sits in the layout. Every
+layout change (a new pair, a checkpoint, a merge) goes through one method,
+_apply_locked: it logs the difference between the current layout and the
+new one as one MANIFEST batch of ADD/REMOVE entries, made durable as one
+frame before the layout in memory changes, then unlinks every file the new
+layout no longer names. None of the MANIFEST stays in memory. A batch also
+records the last commit timestamp: once recovery drops a log that held no
+writes, that is the only trace of its commits.
 
 Each live pair is the write-all/read-one composition: its log holds one
 frame per committed transaction and serves no reads, its memtable serves
@@ -20,7 +24,8 @@ key range with disjoint ranges, so a key lives in at most one checkpoint
 per level. A read walks the live pairs and level 0 newest to oldest, then
 makes one bisect over each deeper level's range starts and at most one
 probe there, collecting per-slice effects until an assignment cuts
-history, and folds the slices oldest-first.
+history, and folds the slices oldest-first. The compaction horizon is the
+highest window top in the levels.
 
 A level merge moves a source that overlaps nothing in the level below down
 whole, and otherwise folds it into only the checkpoints it overlaps.
@@ -30,8 +35,10 @@ or a snapshot that held it back ended. Recovery replays the MANIFEST
 (cutting a torn last batch), rebuilds each level's key order from the
 ranges it records (refusing overlaps), folds every live commit log that
 holds writes straight into one level-0 checkpoint (no memtable is rebuilt),
-logs the result as one batch, and restarts timestamps above every commit
-timestamp it saw; rerunning it reproduces the same visible layout.
+logs the difference from the replayed layout as one batch, deletes every
+wal-*/ckpt-* file the result does not name (what a crash or a failed
+unlink left behind), and restarts timestamps above every commit timestamp
+it saw; rerunning it reproduces the same visible layout.
 """
 
 from __future__ import annotations
@@ -87,15 +94,43 @@ class EngineConfig:
         return 4 * 10 ** level
 
 
-def wal_name(lo: int) -> str:
-    return f"wal-{lo}.log"
+def wal_name(fid: int) -> str:
+    return f"wal-{fid}.log"
 
 
-def ckpt_name(level: int, window: Window, fid: int) -> str:
-    return f"ckpt-{level}-{window.lo}-{window.hi}-{fid}.cb"
+def ckpt_name(fid: int) -> str:
+    return f"ckpt-{fid}.cb"
 
 
-_CKPT_RE = re.compile(r"ckpt-\d+-\d+-\d+-(\d+)\.cb$")
+_FILE_NAME = re.compile(r"wal-(\d+)\.log|ckpt-(\d+)\.cb")
+
+# (level, name) -> (window, key range) of every file a layout names, in
+# layout order
+Named = dict[tuple[int, str], tuple[Window, tuple[str, str] | None]]
+
+
+def _log_name(wmp: WALMemtablePair) -> str:
+    return os.path.basename(wmp.wal.path)
+
+
+def _named(live, levels) -> Named:
+    named: Named = {(LIVE_LEVEL, _log_name(w)): (w.window, None) for w in live}
+    for lvl, row in enumerate(levels):
+        named.update(((lvl, ck.path), (ck.window, ck.key_range)) for ck in row)
+    return named
+
+
+def _layout_edits(old: Named, new: Named) -> list[ManifestEntry]:
+    """The MANIFEST batch that turns layout old into new: a REMOVE for each
+    (level, name) only old holds, then an ADD for each only new holds, in
+    new's order. A REMOVE, and an ADD at level 0 or live, carry no key
+    range."""
+    edits = [ManifestEntry(ManifestAction.REMOVE, lvl, name, window)
+             for (lvl, name), (window, _) in old.items() if (lvl, name) not in new]
+    edits += [ManifestEntry(ManifestAction.ADD, lvl, name, window,
+                            key_range if lvl > 0 else None)
+              for (lvl, name), (window, key_range) in new.items() if (lvl, name) not in old]
+    return edits
 
 
 class LevelledStore(Store):
@@ -105,7 +140,7 @@ class LevelledStore(Store):
                  manifest: ManifestLog,
                  live: list[WALMemtablePair],
                  levels: list[list[Checkpoint]],
-                 horizon: int, last_ct: int, fid: int):
+                 last_ct: int, fid: int):
         self.directory = directory
         self.config = config
         self._manifest = manifest
@@ -126,7 +161,6 @@ class LevelledStore(Store):
         self._gate_blocked = False
         self._pins: dict[str, WALMemtablePair] = {}
         self._active_sts: dict[str, int] = {}
-        self._horizon = horizon
         self._last_ct = last_ct
         self._fid = fid
         self.probes: dict[int, int] = {LIVE_LEVEL: 0}
@@ -146,37 +180,62 @@ class LevelledStore(Store):
         manifest = ManifestLog(mpath)
         engine = cls(directory, config, manifest,
                      live=[], levels=[[] for _ in range(config.max_levels)],
-                     horizon=0, last_ct=-1, fid=0)
+                     last_ct=-1, fid=0)
         with engine._mutex:
-            engine._open_fresh_wmp_locked(0, [])
+            engine._open_fresh_wmp_locked(0)
+            engine._compaction_due = False  # one empty pair holds no work
         return engine
 
     def _abs(self, rel: str) -> str:
         return os.path.join(self.directory, rel)
 
-    def _open_fresh_wmp_locked(self, lo: int, extra_entries: list[ManifestEntry]) -> None:
-        """Create a new accepting pair at lo and record it (plus any batched
-        entries) in one manifest batch."""
-        rel = wal_name(lo)
-        path = self._abs(rel)
-        if os.path.exists(path):
-            os.remove(path)  # orphan from an earlier crash; never referenced
-        wmp = WALMemtablePair(CommitLog(path), _fresh_map(), Window(lo, None))
-        wmp._wal_rel = rel
+    def _take_fid_locked(self) -> int:
+        fid = self._fid
+        self._fid += 1
+        return fid
+
+    def _open_fresh_wmp_locked(self, lo: int) -> None:
+        """Create a new accepting pair at lo and apply the layout that adds it."""
+        path = self._abs(wal_name(self._take_fid_locked()))
+        wmp = WALMemtablePair(CommitLog(path), MapStore(), Window(lo, None))
         faults.fire("after-wal-write-before-manifest", path=path)
-        entries = list(extra_entries)
-        entries.append(ManifestEntry(ManifestAction.ADD, LIVE_LEVEL, rel, Window(lo, None)))
-        self._manifest_commit_locked(entries)
         live, levels, _ = self._layout
-        self._set_layout_locked(live + (wmp,), levels)
+        self._apply_locked(live + (wmp,), levels)
+
+    def _persist_locked(self, ck: Checkpoint, fire_point: str | None = None) -> None:
+        """Name a new checkpoint and write its file."""
+        ck.path = ckpt_name(self._take_fid_locked())
+        ck.persist(self._abs(ck.path), fire_point=fire_point)
 
     def _set_layout_locked(self, live: tuple[WALMemtablePair, ...],
                            levels: tuple[tuple[Checkpoint, ...], ...]) -> None:
+        self._horizon = max((ck.window.hi for row in levels for ck in row), default=0)
         starts = ((),) + tuple(tuple(ck.key_range[0] for ck in row) for row in levels[1:])
         self._layout = (live, levels, starts)
 
-    def _manifest_commit_locked(self, entries: list[ManifestEntry]) -> None:
-        self._manifest.append(max(self._last_ct, 0), entries)
+    def _apply_locked(self, live: tuple[WALMemtablePair, ...],
+                      levels: tuple[tuple[Checkpoint, ...], ...]) -> None:
+        """Make (live, levels) the layout. The difference from the current
+        layout is logged as one durable MANIFEST batch before the layout in
+        memory changes; then every log and file the new layout no longer
+        names is closed and unlinked (a failed unlink leaves an orphan that
+        the next recovery deletes)."""
+        old_live, old_levels, _ = self._layout
+        old = _named(old_live, old_levels)
+        new = _named(live, levels)
+        self._manifest.append(max(self._last_ct, 0), _layout_edits(old, new))
+        self._set_layout_locked(live, levels)
+        self._compaction_due = True
+        kept = {name for _, name in new}
+        for wmp in old_live:
+            if _log_name(wmp) not in kept:
+                wmp.wal.close()
+        for _, name in old:
+            if name not in kept:
+                try:
+                    os.remove(self._abs(name))
+                except OSError:
+                    pass
 
     # -- Store protocol -------------------------------------------------------
 
@@ -349,8 +408,7 @@ class LevelledStore(Store):
         window = tail.seal()
         self._rotation_pending = False
         self.stats["rotations"] += 1
-        self._open_fresh_wmp_locked(window.hi, [])
-        self._compaction_due = True
+        self._open_fresh_wmp_locked(window.hi)
         self._rotation_cond.notify_all()
 
     def _gate_locked(self, hi: int) -> bool:
@@ -372,32 +430,15 @@ class LevelledStore(Store):
             self._checkpoint_wmp_locked(oldest)
 
     def _checkpoint_wmp_locked(self, wmp: WALMemtablePair) -> None:
-        window = wmp.window
-        entries_list: list[ManifestEntry] = []
-        ck = make_checkpoint(wmp, window)
-        if len(ck):
-            rel = ckpt_name(0, window, self._fid)
-            self._fid += 1
-            ck.persist(self._abs(rel), fire_point="during-checkpoint-serialize")
-            ck.path = rel
-            entries_list.append(ManifestEntry(
-                ManifestAction.ADD, 0, rel, window, None))
-        entries_list.append(ManifestEntry(
-            ManifestAction.REMOVE, LIVE_LEVEL, wmp._wal_rel, window))
-        self._manifest_commit_locked(entries_list)
+        """Replace the oldest live pair by its level-0 checkpoint (by nothing
+        when it holds no keys)."""
+        ck = make_checkpoint(wmp, wmp.window)
         live, levels, _ = self._layout
         if len(ck):
+            self._persist_locked(ck, fire_point="during-checkpoint-serialize")
             levels = (levels[0] + (ck,),) + levels[1:]
-        self._set_layout_locked(live[1:], levels)
-        self._compaction_due = True
-        if len(ck) and window.hi > self._horizon:
-            self._horizon = window.hi
+        self._apply_locked(live[1:], levels)
         self.stats["live_checkpoints"] += 1
-        wmp.wal.close()
-        try:
-            os.remove(self._abs(wmp._wal_rel))
-        except OSError:
-            pass
 
     def _compact_levels_locked(self, force: bool) -> None:
         for level in range(self.config.max_levels - 1):
@@ -426,9 +467,8 @@ class LevelledStore(Store):
         until the whole pass is built: the old layout stays intact until the
         manifest batch is durable.
         """
-        _, levels, _ = self._layout
-        before = levels[level + 1]
-        row = list(before)
+        live, levels, _ = self._layout
+        row = list(levels[level + 1])
         limit = 2 * self.config.wmp_rotate_effects
         for src in sources:
             lo, hi = src.key_range
@@ -453,45 +493,13 @@ class LevelledStore(Store):
                     out.append(merged)
             row[a:b] = out
         self.stats["level_merges"] += 1
-
-        kept = {id(ck) for ck in row}
-        was_below = {id(ck) for ck in before}
-        entries: list[ManifestEntry] = []
         for ck in row:
             if ck.path is None:
-                rel = ckpt_name(level + 1, ck.window, self._fid)
-                self._fid += 1
-                ck.persist(self._abs(rel))
-                ck.path = rel
-            elif id(ck) in was_below:
-                continue  # an untouched target
-            entries.append(ManifestEntry(ManifestAction.ADD, level + 1, ck.path,
-                                         ck.window, ck.key_range))
-        old_paths: list[str] = []
-        for ck in before:
-            if id(ck) not in kept:
-                entries.append(ManifestEntry(ManifestAction.REMOVE, level + 1,
-                                             ck.path, ck.window))
-                old_paths.append(ck.path)
-        for src in sources:
-            entries.append(ManifestEntry(ManifestAction.REMOVE, level, src.path, src.window))
-            if id(src) not in kept:
-                old_paths.append(src.path)
-        self._manifest_commit_locked(entries)
-
+                self._persist_locked(ck)
         rows = list(levels)
         rows[level] = levels[level][len(sources):]
         rows[level + 1] = tuple(row)
-        self._set_layout_locked(self._layout[0], tuple(rows))
-        self._compaction_due = True
-        for ck in row:
-            if ck.window.hi > self._horizon:
-                self._horizon = ck.window.hi
-        for rel in old_paths:
-            try:
-                os.remove(self._abs(rel))
-            except OSError:
-                pass
+        self._apply_locked(live, tuple(rows))
 
     # -- introspection ---------------------------------------------------------
 
@@ -499,7 +507,7 @@ class LevelledStore(Store):
         with self._mutex:
             live, levels, _ = self._layout
             return {
-                "live": [(w._wal_rel, (w.window.lo, w.window.hi)) for w in live],
+                "live": [(_log_name(w), (w.window.lo, w.window.hi)) for w in live],
                 "levels": [
                     [(c.path, (c.window.lo, c.window.hi), c.key_range) for c in row]
                     for row in levels
@@ -516,10 +524,6 @@ class LevelledStore(Store):
             self._manifest.close()
 
 
-def _fresh_map() -> MapStore:
-    return MapStore()
-
-
 # -- recovery -------------------------------------------------------------------
 
 def replay_manifest(batches: list[Batch]) -> tuple[dict[str, ManifestEntry],
@@ -529,7 +533,7 @@ def replay_manifest(batches: list[Batch]) -> tuple[dict[str, ManifestEntry],
     layout.
 
     Returns (live adds by path, per-level adds by path, next fid, max batch
-    ts).
+    ts). The next fid is one above every fid an entry ever named.
     """
     live: dict[str, ManifestEntry] = {}
     levels: list[dict[str, ManifestEntry]] = []
@@ -539,9 +543,9 @@ def replay_manifest(batches: list[Batch]) -> tuple[dict[str, ManifestEntry],
         if ts > max_ts:
             max_ts = ts
         for entry in entries:
-            fm = _CKPT_RE.search(entry.path)
+            fm = _FILE_NAME.fullmatch(entry.path)
             if fm:
-                max_fid = max(max_fid, int(fm.group(1)))
+                max_fid = max(max_fid, int(fm[1] or fm[2]))
             while entry.level >= len(levels):
                 levels.append({})
             target = live if entry.level == LIVE_LEVEL else levels[entry.level]
@@ -632,86 +636,63 @@ def recover_engine(directory: str, config: EngineConfig | None = None
         highest = max([highest] + [ct for _, ct, _ in commits])
     faults.fire("during-recovery-step-2")
 
-    # A trailing pair with no writes is kept as the accepting pair instead of
-    # being replaced: its replacement would carry the same name, and deleting
-    # the old file after the swap would unlink the new one out from under us.
+    # A trailing pair with no writes is kept as the accepting pair, so a
+    # reopen with nothing to fold changes no file.
     adopted: WALMemtablePair | None = None
     if scans and not any(writes for _, _, writes in scans[-1][0]):
         commits, _ = scans.pop()  # its torn tail, if any, is cut above
         entry = live_entries.pop()
         wal = CommitLog(os.path.join(directory, entry.path), _recovered=True)
-        adopted = WALMemtablePair(wal, _fresh_map(), Window(entry.window.lo, None))
-        adopted._wal_rel = entry.path
+        adopted = WALMemtablePair(wal, MapStore(), Window(entry.window.lo, None))
         for _, ct, _ in commits:
             adopted._count_commit(ct, 0)
 
     # fold every other live log into one L0 checkpoint: each window boundary
     # is a group boundary (do_begin keeps st >= window.lo - 1), so folding the
     # logs together equals folding each and applying them oldest first
-    entries: list[ManifestEntry] = []
-    new_l0: list[Checkpoint] = []
     commits = [c for log_commits, _ in scans for c in log_commits]
     if commits:
         window = Window(min(e.window.lo for e in live_entries),
                         max(ct for _, ct, _ in commits) + 1)
         ck = fold_commits(commits, window)
         if len(ck):
-            rel = ckpt_name(0, window, fid)
+            ck.path = ckpt_name(fid)
             fid += 1
-            ck.persist(os.path.join(directory, rel))
-            ck.path = rel
-            new_l0.append(ck)
-            entries.append(ManifestEntry(ManifestAction.ADD, 0, rel, window))
-    pushed = [entry.path for entry in live_entries]
-    for entry in live_entries:
-        entries.append(ManifestEntry(ManifestAction.REMOVE, LIVE_LEVEL, entry.path,
-                                     entry.window))
+            ck.persist(os.path.join(directory, ck.path))
+            levels[0].append(ck)
     faults.fire("during-recovery-step-3")
 
-    levels[0].extend(new_l0)
-    coverage_hi = 0
-    horizon = 0
-    for row in levels:
-        for ck in row:
-            coverage_hi = max(coverage_hi, ck.window.hi)
-            horizon = max(horizon, ck.window.hi)
-
+    coverage_hi = max((ck.window.hi for row in levels for ck in row), default=0)
     if adopted is not None and adopted.window.lo != coverage_hi:
         # windows no longer tile up to the pair; drop it too (it holds no
-        # writes, so this is just a manifest removal) and fall back to a
-        # fresh pair
-        entries.append(ManifestEntry(ManifestAction.REMOVE, LIVE_LEVEL,
-                                     adopted._wal_rel, adopted.window))
+        # writes) and fall back to a fresh pair
         adopted.wal.close()
-        pushed.append(adopted._wal_rel)
         adopted = None
+    fresh = adopted
+    if fresh is None:
+        fresh = WALMemtablePair(CommitLog(os.path.join(directory, wal_name(fid))),
+                                MapStore(), Window(coverage_hi, None))
+        fid += 1
 
-    if adopted is not None:
-        fresh = adopted
-    else:
-        fresh_rel = wal_name(coverage_hi)
-        fresh_abs = os.path.join(directory, fresh_rel)
-        if os.path.exists(fresh_abs):
-            os.remove(fresh_abs)
-        fresh = WALMemtablePair(CommitLog(fresh_abs), _fresh_map(),
-                                Window(coverage_hi, None))
-        fresh._wal_rel = fresh_rel
-        entries.append(ManifestEntry(ManifestAction.ADD, LIVE_LEVEL, fresh_rel,
-                                     Window(coverage_hi, None)))
-
-    if entries:
-        manifest.append(highest, entries)
+    replayed = {(e.level, e.path): (e.window, e.key_range)
+                for refs in (live_refs, *level_refs) for e in refs.values()}
+    new = _named((fresh,), levels)
+    edits = _layout_edits(replayed, new)
+    if edits:
+        manifest.append(highest, edits)
     faults.fire("during-recovery-step-4")
 
-    for rel in pushed:
-        try:
-            os.remove(os.path.join(directory, rel))
-        except OSError:
-            pass
+    # a file the layout does not name was left by a crash or a failed unlink
+    kept = {name for _, name in new}
+    for name in os.listdir(directory):
+        if name.startswith(("wal-", "ckpt-")) and name not in kept:
+            try:
+                os.remove(os.path.join(directory, name))
+            except OSError:
+                pass
 
-    engine = LevelledStore(directory, config, manifest,
-                           live=[fresh], levels=levels,
-                           horizon=horizon, last_ct=highest, fid=fid)
+    engine = LevelledStore(directory, config, manifest, live=[fresh], levels=levels,
+                           last_ct=highest, fid=fid)
     faults.fire("during-recovery-step-5")
     return engine, highest
 

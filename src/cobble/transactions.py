@@ -19,7 +19,6 @@ from .effects import Effect, apply, evaluate
 from .store import (
     StaleSnapshotError,
     Store,
-    StoreError,
     TransactionDescriptor,
     TransactionError,
     check_key,
@@ -107,9 +106,10 @@ class TransactionCoordinator:
             txn.ct = ct
             try:
                 mgr.store.do_commit(txn)
-            except StoreError:
-                # the store is broken; release the lease as finished so other
-                # snapshots are not wedged behind a commit that never lands
+            except Exception:
+                # a broken store, or an OSError from the rotation the commit
+                # triggered: release the lease as finished so other snapshots
+                # are not wedged behind it, whether or not the commit landed
                 mgr.gen.end_commit_notify(ct)
                 self._finish()
                 raise

@@ -2,6 +2,7 @@
 
 import os
 import random
+import re
 import shutil
 import sys
 import threading
@@ -349,6 +350,29 @@ class TestPins:
         assert effect_at(engine, "k", 1) == (1, 0)
         engine.close()
 
+    def test_a_failed_rotation_releases_the_commits_lease(self, tmp_path):
+        d = str(tmp_path / "db")
+        cfg = small_config(wmp_rotate_effects=1)
+        manager = TransactionManager(LevelledStore.create(d, cfg))
+        coord = manager.begin_txn()
+        coord.assign("k", 1)
+        assert coord.commit().ct == 0
+        faults.install_plan(FaultPlan().arm("after-wal-write-before-manifest", FailFlush()))
+        coord = manager.begin_txn()
+        coord.incr("k", 2)
+        with pytest.raises(OSError):  # ct 1 is durable; the rotation after it fails
+            coord.commit()
+        assert manager.gen.peek_snapshot() == 2
+        assert manager.read_at("k", 2) == 3
+        with pytest.raises(StoreError, match="sealed"):
+            manager.begin_txn()
+        manager.store.close()
+        back, floor = open_engine(d, cfg)
+        manager = TransactionManager(back)
+        manager.recover_floor(floor)
+        assert floor == 1 and manager.read_at("k", manager.gen.peek_snapshot()) == 3
+        back.close()
+
     def test_pair_and_memtable_see_no_lifecycle(self, tmp_path, monkeypatch):
         calls = {"do_begin": 0, "do_abort": 0}
         for name in calls:
@@ -674,20 +698,16 @@ class TestPackedMerge:
             sources = [({k: self._effect(rng) for k in rng.sample(self.POOL, rng.randint(1, 20))},
                         Window(100 + 10 * i, 110 + 10 * i)) for i in range(rng.randint(1, 3))]
 
-            adds = []
             cks = {0: [], 1: []}
             for level, group in ((1, targets), (0, sources)):
                 for j, (entries, window) in enumerate(group):
                     ck = Checkpoint(entries, window)
-                    ck.path = f"ckpt-{level}-{window.lo}-{window.hi}-{900 + 10 * level + j}.cb"
+                    ck.path = f"ckpt-{900 + 10 * level + j}.cb"
                     ck.persist(os.path.join(d, ck.path))
                     cks[level].append(ck)
-                    adds.append(ManifestEntry(ManifestAction.ADD, level, ck.path, window,
-                                              ck.key_range if level else None))
             with engine._mutex:
-                engine._manifest_commit_locked(adds)
                 live, levels, _ = engine._layout
-                engine._set_layout_locked(live, (tuple(cks[0]), tuple(cks[1])) + levels[2:])
+                engine._apply_locked(live, (tuple(cks[0]), tuple(cks[1])) + levels[2:])
                 engine._merge_down_locked(0, cks[0])
 
             want_row = _dict_merge(targets, sources)
@@ -847,13 +867,13 @@ class TestManifest:
         log = ManifestLog(path)
         log.append(0, [ManifestEntry(ManifestAction.ADD, -1, "wal-0.log", Window(0, None))])
         log.append(4, [ManifestEntry(ManifestAction.REMOVE, -1, "wal-0.log", Window(0, 5)),
-                       ManifestEntry(ManifestAction.ADD, 0, "ckpt-0-0-5-6.cb", Window(0, 5))])
+                       ManifestEntry(ManifestAction.ADD, 0, "ckpt-6.cb", Window(0, 5))])
         log.close()
         log, batches = ManifestLog.recover(path)
         log.close()
         live, levels, fid, ts = replay_manifest(batches)
         assert live == {}
-        assert list(levels[0]) == ["ckpt-0-0-5-6.cb"]
+        assert list(levels[0]) == ["ckpt-6.cb"]
         assert (fid, ts) == (7, 4)
 
     def test_torn_last_batch_is_dropped_whole(self, tmp_path):
@@ -927,7 +947,8 @@ class TestManifest:
         log.close()
         engine, floor = open_engine(d, small_config())
         assert floor == 30
-        assert [w for w, _ in engine.layout()["live"]] == ["wal-0.log"]
+        (_, window), = engine.layout()["live"]
+        assert window == (0, None)
         engine.close()
         assert not os.path.exists(os.path.join(d, "wal-9.log"))
         engine, floor = open_engine(d, small_config())
@@ -972,6 +993,33 @@ class TestManifest:
         for lvl, row in enumerate(levels):
             assert [e.path for e in row.values()] == [
                 p for p, _, _ in want["levels"][lvl]]
+
+    def test_every_batch_is_a_layout_diff(self, tmp_path):
+        """Each batch names a (level, name) at most once, replaying them gives
+        the layout level by level, and every file takes its name from the
+        one counter."""
+        d = str(tmp_path / "db")
+        engine = LevelledStore.create(d, small_config(
+            live_capacity=1, wmp_rotate_effects=3, level_capacities=(1, 2, 1 << 30)))
+        replay(engine, generate_trace(seed=4, txn_count=80, max_concurrency=1,
+                                      eager_notify=True))
+        stats = engine.stats
+        assert min(stats["rotations"], stats["live_checkpoints"], stats["level_merges"]) > 3
+        want = engine.layout()
+        engine.close()
+        batches, _ = ManifestLog.scan(os.path.join(d, "MANIFEST"))
+        for _, entries in batches:
+            named = [(e.level, e.path) for e in entries]
+            assert len(set(named)) == len(named), named
+        live, levels, fid, _ = replay_manifest(batches)
+        assert list(live) == [p for p, _ in want["live"]]
+        assert [list(row) for row in levels] == [
+            [p for p, _, _ in row] for row in want["levels"]]
+        names = set(os.listdir(d)) - {"MANIFEST"}
+        assert names == set(live).union(*levels)
+        assert all(re.fullmatch(r"wal-\d+\.log|ckpt-\d+\.cb", n) for n in names), names
+        fids = [int(n[5:-3]) if n.startswith("ckpt-") else int(n[4:-4]) for n in names]
+        assert max(fids) == fid - 1
 
 
 def build_engine_dir(d: str, seed=13, txn_count=40, compact_every=None) -> object:
@@ -1190,9 +1238,9 @@ class TestLevelChecksOnOpen:
         self._refused(d2, "ckpt-1-0-5-1.cb")
 
 
-def _engine_with_live_pairs(d: str, cfg: EngineConfig, txns: int = 32) -> dict:
+def _engine_with_live_pairs(d: str, cfg: EngineConfig, txns: int = 32) -> tuple[dict, dict]:
     """Commit txns of two writes each and close; returns {key: effect} at
-    the latest snapshot, read before the close."""
+    the latest snapshot and the layout, both read before the close."""
     engine = LevelledStore.create(d, cfg)
     rng = random.Random(5)
     keys = [f"k{i}" for i in range(9)]
@@ -1202,8 +1250,9 @@ def _engine_with_live_pairs(d: str, cfg: EngineConfig, txns: int = 32) -> dict:
                                             (b, Effect.assign(rng.randrange(99)))
                                             if i % 3 else (b, Effect.incr(1))])
     reads = {k: effect_at(engine, k, txns + 1) for k in keys}
+    layout = engine.layout()
     engine.close()
-    return reads
+    return reads, layout
 
 
 def _files(d: str) -> dict[str, bytes]:
@@ -1222,21 +1271,20 @@ class TestRecoveryFold:
 
     def test_live_logs_fold_into_one_l0_checkpoint(self, tmp_path):
         d = str(tmp_path / "db")
-        reads = _engine_with_live_pairs(d, self.cfg)
-        logs = sorted((n for n in os.listdir(d) if n.startswith("wal-")),
-                      key=lambda n: int(n[4:-4]))
+        reads, before = _engine_with_live_pairs(d, self.cfg)
+        logs = [name for name, _ in before["live"]]
         assert len(logs) >= 3 and all(os.path.getsize(os.path.join(d, n)) for n in logs)
-        l0_before = [n for n in os.listdir(d) if n.startswith("ckpt-0-")]
+        l0_before = [name for name, _, _ in before["levels"][0]]
 
         layouts = []
         for _ in range(2):
             engine, floor = open_engine(d, self.cfg)
             layout = engine.layout()
             assert len(layout["levels"][0]) == len(l0_before) + 1
-            (_, (lo, hi), _), = [c for c in layout["levels"][0]
-                                 if os.path.basename(c[0]) not in l0_before]
-            assert (lo, hi) == (int(logs[0][4:-4]), floor + 1)
-            assert [w for w, _ in layout["live"]] == [f"wal-{floor + 1}.log"]
+            (_, (lo, hi), _), = [c for c in layout["levels"][0] if c[0] not in l0_before]
+            assert (lo, hi) == (before["live"][0][1][0], floor + 1)
+            (name, window), = layout["live"]
+            assert window == (floor + 1, None) and name not in logs
             assert {k: effect_at(engine, k, floor + 1) for k in reads} == reads
             layouts.append(layout)
             engine.close()
@@ -1295,21 +1343,21 @@ class TestRecoveryFold:
         for i in range(7):
             run_txn(engine, f"t{i}", max(0, i - 1), i, [("k", Effect.incr(1))])
         engine.close()
-        assert sorted(n for n in os.listdir(d) if n.startswith("wal-")) == [
-            "wal-0.log", "wal-2.log", "wal-4.log", "wal-6.log"]
+        logs = [f"wal-{fid}.log" for fid in range(4)]  # one per rotation, by fid
+        assert sorted(n for n in os.listdir(d) if n.startswith("wal-")) == logs
         good = _files(d)
-        faults.corrupt_file(os.path.join(d, "wal-0.log"), -6, 1)
+        faults.corrupt_file(os.path.join(d, logs[0]), -6, 1)
         before = _files(d)
         for _ in range(2):
-            with pytest.raises(IntegrityError, match="wal-0.log"):
+            with pytest.raises(IntegrityError, match=logs[0]):
                 open_engine(d, cfg)
             assert _files(d) == before
 
         # the same damage on the trailing log is a torn tail: cut, and the
         # commit in it is lost
-        with open(os.path.join(d, "wal-0.log"), "wb") as f:
-            f.write(good["wal-0.log"])
-        faults.corrupt_file(os.path.join(d, "wal-6.log"), -6, 1)
+        with open(os.path.join(d, logs[0]), "wb") as f:
+            f.write(good[logs[0]])
+        faults.corrupt_file(os.path.join(d, logs[-1]), -6, 1)
         layouts = []
         for _ in range(2):
             engine, floor = open_engine(d, cfg)
@@ -1317,6 +1365,61 @@ class TestRecoveryFold:
             layouts.append(engine.layout())
             engine.close()
         assert layouts[1] == layouts[0]
+
+
+def _only_named_files_then_idempotent(d: str, cfg: EngineConfig, reads: dict) -> None:
+    """Reopen: the directory then holds the MANIFEST and the files it names,
+    reads are unchanged, and a second reopen changes no byte."""
+    engine, floor = open_engine(d, cfg)
+    assert {k: effect_at(engine, k, floor + 1) for k in reads} == reads
+    engine.close()
+    batches, _ = ManifestLog.scan(os.path.join(d, "MANIFEST"))
+    live, levels, _, _ = replay_manifest(batches)
+    assert set(os.listdir(d)) == {"MANIFEST"}.union(live, *levels)
+    once = _files(d)
+    engine, _ = open_engine(d, cfg)
+    engine.close()
+    assert _files(d) == once
+
+
+class TestOrphans:
+    """A file that a crash or a failed unlink leaves outside the layout is
+    deleted by the next recovery."""
+
+    cfg = small_config(live_capacity=1, wmp_rotate_effects=2, level_capacities=(1, 2, 1 << 30))
+
+    def test_failed_unlinks_are_swept_on_reopen(self, tmp_path, monkeypatch):
+        d = str(tmp_path / "db")
+        real_remove = os.remove
+        calls = []
+
+        def remove(path, *args, **kw):
+            calls.append(path)
+            if len(calls) in (1, 4, 9):
+                raise OSError("injected unlink failure")
+            real_remove(path, *args, **kw)
+        with monkeypatch.context() as m:
+            m.setattr(os, "remove", remove)
+            reads, _ = _engine_with_live_pairs(d, self.cfg)
+        assert len(calls) >= 9
+        left = {os.path.basename(calls[i - 1]) for i in (1, 4, 9)}
+        assert left <= set(os.listdir(d))
+        _only_named_files_then_idempotent(d, self.cfg, reads)
+        assert not left & set(os.listdir(d))
+
+    def test_log_of_a_failed_rotation_is_swept_on_reopen(self, tmp_path):
+        d = str(tmp_path / "db")
+        engine = LevelledStore.create(d, self.cfg)
+        run_txn(engine, "t0", 0, 0, [("k", Effect.assign(5))])
+        before = set(os.listdir(d))
+        faults.install_plan(FaultPlan().arm("after-wal-write-before-manifest", FailFlush()))
+        with pytest.raises(OSError):
+            run_txn(engine, "t1", 0, 1, [("k", Effect.incr(1)), ("j", Effect.incr(2))])
+        faults.clear_plan()
+        orphan, = set(os.listdir(d)) - before
+        engine.close()
+        _only_named_files_then_idempotent(d, self.cfg, {"k": (5, 1), "j": (None, 2)})
+        assert orphan not in os.listdir(d)
 
 
 class TestLiveThreaded:

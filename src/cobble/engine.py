@@ -3,29 +3,35 @@ checkpoint levels below, a MANIFEST recording every structural change.
 
 Every file takes its name from one counter: wal-{fid}.log for a commit log,
 ckpt-{fid}.cb for a checkpoint, wherever it sits in the layout. Every
-layout change (a new pair, a checkpoint, a merge) goes through one method,
-_apply_locked: it logs the difference between the current layout and the
-new one as one MANIFEST batch of ADD/REMOVE entries, made durable as one
-frame before the layout in memory changes, then unlinks every file the new
-layout no longer names. None of the MANIFEST stays in memory. A batch also
-records the last commit timestamp: once recovery drops a log that held no
-writes, that is the only trace of its commits.
+layout change (a rotation, a checkpoint swap, a merge) goes through one
+method, _apply_locked: it logs the difference between the current layout
+and the new one as one MANIFEST batch of ADD/REMOVE entries, made durable
+as one frame before the layout in memory changes (no batch when nothing
+named changed), then unlinks every file the new layout no longer names.
+None of the MANIFEST stays in memory. A batch also records the last commit
+timestamp: once recovery drops a log that held no writes, that is the only
+trace of its commits.
 
 Each live pair is the write-all/read-one composition: its log holds one
 frame per committed transaction and serves no reads, its memtable serves
 them all. A begin pins the transaction to the accepting pair, and that pin
 is the transaction's only lifecycle below the coordinator: it refuses a
 duplicate begin and an update, commit or abort of a transaction it does
-not hold, and the pair sees only the commit. A sealed pair is flushed into
-a level-0 checkpoint whose columns come straight from the memtable's
-per-key version lists. Level 0 holds checkpoints in age order with
-overlapping key ranges; every level >= 1 is a run of checkpoints sorted by
-key range with disjoint ranges, so a key lives in at most one checkpoint
-per level. A read walks the live pairs and level 0 newest to oldest, then
-makes one bisect over each deeper level's range starts and at most one
-probe there, collecting per-slice effects until an assignment cuts
-history, and folds the slices oldest-first. The compaction horizon is the
-highest window top in the levels.
+not hold, and the pair sees only the commit. A pair is flushed when it is
+sealed: its level-0 checkpoint, whose columns come straight from the
+memtable's per-key version lists, is persisted, and one batch adds it,
+removes the sealed log and adds the next pair's log. So the MANIFEST
+names at most one log, the accepting pair's. The sealed pair stays live,
+its memtable answering every read, old ones included, until the capacity
+loop swaps the built checkpoint into level 0; the MANIFEST already names
+it there, so the swap writes nothing. Level 0 holds checkpoints in age
+order with overlapping key ranges; every level >= 1 is a run of
+checkpoints sorted by key range with disjoint ranges, so a key lives in at
+most one checkpoint per level. A read walks the live pairs and level 0
+newest to oldest, then makes one bisect over each deeper level's range
+starts and at most one probe there, collecting per-slice effects until an
+assignment cuts history, and folds the slices oldest-first. The compaction
+horizon is the highest window top in the levels.
 
 A level merge moves a source that overlaps nothing in the level below down
 whole, and otherwise folds it into only the checkpoints it overlaps.
@@ -33,12 +39,13 @@ Compaction only folds already-consolidated entries; it never merges
 concurrent effects across stores, and it runs only after the layout changed
 or a snapshot that held it back ended. Recovery replays the MANIFEST
 (cutting a torn last batch), rebuilds each level's key order from the
-ranges it records (refusing overlaps), folds every live commit log that
-holds writes straight into one level-0 checkpoint (no memtable is rebuilt),
-logs the difference from the replayed layout as one batch, deletes every
-wal-*/ckpt-* file the result does not name (what a crash or a failed
-unlink left behind), and restarts timestamps above every commit timestamp
-it saw; rerunning it reproduces the same visible layout.
+ranges it records (refusing overlaps), loads the flushed checkpoints of
+sealed pairs as level 0, folds the one named log straight into one more
+level-0 checkpoint when it holds writes (no memtable is rebuilt), logs the
+difference from the replayed layout as one batch, deletes every wal-*/ckpt-*
+file the result does not name (what a crash or a failed unlink left
+behind), and restarts timestamps above every commit timestamp it saw;
+rerunning it reproduces the same visible layout.
 """
 
 from __future__ import annotations
@@ -113,8 +120,17 @@ def _log_name(wmp: WALMemtablePair) -> str:
     return os.path.basename(wmp.wal.path)
 
 
-def _named(live, levels) -> Named:
-    named: Named = {(LIVE_LEVEL, _log_name(w)): (w.window, None) for w in live}
+def _named(live, levels, flushed) -> Named:
+    """What a layout names: each live pair's log, or, for a pair in flushed
+    (a sealed pair mapped to its built checkpoint), that checkpoint at level
+    0 (nothing when it holds no keys); then every level's checkpoints."""
+    named: Named = {}
+    for w in live:
+        ck = flushed.get(w)
+        if ck is None:
+            named[(LIVE_LEVEL, _log_name(w))] = (w.window, None)
+        elif ck.path is not None:
+            named[(0, ck.path)] = (ck.window, None)
     for lvl, row in enumerate(levels):
         named.update(((lvl, ck.path), (ck.window, ck.key_range)) for ck in row)
     return named
@@ -151,6 +167,9 @@ class LevelledStore(Store):
                             tuple[tuple[Checkpoint, ...], ...],
                             tuple[tuple[str, ...], ...]]
         self._mutex = threading.RLock()
+        # each live pair whose rotation flushed it -> its built checkpoint,
+        # which the MANIFEST names at level 0 in place of the pair's log
+        self._flushed: dict[WALMemtablePair, Checkpoint] = {}
         self._set_layout_locked(tuple(live), tuple(tuple(row) for row in levels))
         self._rotation_cond = threading.Condition(self._mutex)
         self._rotation_pending = False
@@ -194,13 +213,20 @@ class LevelledStore(Store):
         self._fid += 1
         return fid
 
-    def _open_fresh_wmp_locked(self, lo: int) -> None:
-        """Create a new accepting pair at lo and apply the layout that adds it."""
+    def _open_fresh_wmp_locked(self, lo: int,
+                               flushed: dict[WALMemtablePair, Checkpoint] | None = None) -> None:
+        """Create a new accepting pair at lo and apply the layout that adds
+        it (with flushed, when given). When that fails the new log is closed
+        and its file left for the next recovery's sweep."""
         path = self._abs(wal_name(self._take_fid_locked()))
         wmp = WALMemtablePair(CommitLog(path), MapStore(), Window(lo, None))
-        faults.fire("after-wal-write-before-manifest", path=path)
-        live, levels, _ = self._layout
-        self._apply_locked(live + (wmp,), levels)
+        try:
+            faults.fire("after-wal-write-before-manifest", path=path)
+            live, levels, _ = self._layout
+            self._apply_locked(live + (wmp,), levels, flushed)
+        except BaseException:
+            wmp.wal.close()
+            raise
 
     def _persist_locked(self, ck: Checkpoint, fire_point: str | None = None) -> None:
         """Name a new checkpoint and write its file."""
@@ -214,24 +240,32 @@ class LevelledStore(Store):
         self._layout = (live, levels, starts)
 
     def _apply_locked(self, live: tuple[WALMemtablePair, ...],
-                      levels: tuple[tuple[Checkpoint, ...], ...]) -> None:
-        """Make (live, levels) the layout. The difference from the current
-        layout is logged as one durable MANIFEST batch before the layout in
+                      levels: tuple[tuple[Checkpoint, ...], ...],
+                      flushed: dict[WALMemtablePair, Checkpoint] | None = None) -> None:
+        """Make (live, levels) the layout, with flushed as the built
+        checkpoints of its flushed pairs (by default, those the pairs it
+        keeps hold now). The difference from the current layout is logged as
+        one durable MANIFEST batch, if there is one, before the layout in
         memory changes; then every log and file the new layout no longer
         names is closed and unlinked (a failed unlink leaves an orphan that
         the next recovery deletes)."""
         old_live, old_levels, _ = self._layout
-        old = _named(old_live, old_levels)
-        new = _named(live, levels)
-        self._manifest.append(max(self._last_ct, 0), _layout_edits(old, new))
+        old = _named(old_live, old_levels, self._flushed)
+        flushed = self._flushed if flushed is None else flushed
+        flushed = {w: flushed[w] for w in live if w in flushed}
+        new = _named(live, levels, flushed)
+        edits = _layout_edits(old, new)
+        if edits:
+            self._manifest.append(max(self._last_ct, 0), edits)
+        self._flushed = flushed
         self._set_layout_locked(live, levels)
         self._compaction_due = True
         kept = {name for _, name in new}
-        for wmp in old_live:
-            if _log_name(wmp) not in kept:
-                wmp.wal.close()
+        logs = {_log_name(w): w for w in old_live}
         for _, name in old:
             if name not in kept:
+                if name in logs:
+                    logs[name].wal.close()
                 try:
                     os.remove(self._abs(name))
                 except OSError:
@@ -400,16 +434,26 @@ class LevelledStore(Store):
             self._compact_levels_locked(force)
 
     def _rotate_locked(self) -> None:
+        """Seal the accepting pair and flush it: persist its level-0
+        checkpoint, then apply one batch that adds the checkpoint, removes
+        the sealed log and adds the next pair's log. No pin is left on the
+        sealed pair, so every commit in its window has landed. It stays
+        live, its memtable serving reads, until _compact_live_locked swaps
+        the checkpoint in."""
         tail = self._layout[0][-1]
-        if tail.sealed or tail.committed_effects == 0:
+        try:
+            if tail.sealed or tail.committed_effects == 0:
+                self._rotation_pending = False
+                return
+            window = tail.seal()
             self._rotation_pending = False
+            self.stats["rotations"] += 1
+            ck = make_checkpoint(tail, window)
+            if len(ck):
+                self._persist_locked(ck, fire_point="during-checkpoint-serialize")
+            self._open_fresh_wmp_locked(window.hi, {**self._flushed, tail: ck})
+        finally:
             self._rotation_cond.notify_all()
-            return
-        window = tail.seal()
-        self._rotation_pending = False
-        self.stats["rotations"] += 1
-        self._open_fresh_wmp_locked(window.hi)
-        self._rotation_cond.notify_all()
 
     def _gate_locked(self, hi: int) -> bool:
         """Only history below every active snapshot may be consolidated."""
@@ -423,19 +467,19 @@ class LevelledStore(Store):
         keep = 1 if force else self.config.live_capacity
         while len(self._layout[0]) > keep:
             oldest = self._layout[0][0]
-            if not oldest.sealed:
+            if oldest not in self._flushed:  # the accepting pair
                 break
             if not self._gate_locked(oldest.window.hi):
                 break
-            self._checkpoint_wmp_locked(oldest)
+            self._swap_in_locked(oldest)
 
-    def _checkpoint_wmp_locked(self, wmp: WALMemtablePair) -> None:
-        """Replace the oldest live pair by its level-0 checkpoint (by nothing
-        when it holds no keys)."""
-        ck = make_checkpoint(wmp, wmp.window)
+    def _swap_in_locked(self, wmp: WALMemtablePair) -> None:
+        """Replace the oldest live pair by the level-0 checkpoint its
+        rotation built (by nothing when it holds no keys). The MANIFEST
+        names that checkpoint already, so no batch and no file is written."""
+        ck = self._flushed[wmp]
         live, levels, _ = self._layout
         if len(ck):
-            self._persist_locked(ck, fire_point="during-checkpoint-serialize")
             levels = (levels[0] + (ck,),) + levels[1:]
         self._apply_locked(live[1:], levels)
         self.stats["live_checkpoints"] += 1
@@ -589,111 +633,106 @@ def recover_engine(directory: str, config: EngineConfig | None = None
     Returns (engine, highest timestamp encountered); restart the timestamp
     generator with recover_floor(highest). Safe to rerun after a crash at
     any point in here: the visible layout and lookups come out the same.
+    Every file handle it opened is closed when it raises.
     """
     config = config or EngineConfig()
     mpath = os.path.join(directory, MANIFEST_NAME)
     if not os.path.exists(mpath):
         raise StoreError(f"no engine manifest in {directory}")
     manifest, batches = ManifestLog.recover(mpath)
-    faults.fire("during-recovery-step-0", path=mpath)
+    pair: WALMemtablePair | None = None
+    try:
+        faults.fire("during-recovery-step-0", path=mpath)
 
-    live_refs, level_refs, fid, max_manifest_ts = replay_manifest(batches)
-    faults.fire("during-recovery-step-1")
+        live_refs, level_refs, fid, max_manifest_ts = replay_manifest(batches)
+        faults.fire("during-recovery-step-1")
 
-    highest = max(0, max_manifest_ts)
-    for lvl in range(config.max_levels, len(level_refs)):
-        if level_refs[lvl]:
-            raise StoreError(
-                f"manifest references level {lvl} but config allows "
-                f"{config.max_levels} levels")
-    levels: list[list[Checkpoint]] = [[] for _ in range(config.max_levels)]
-    for lvl in range(min(len(level_refs), config.max_levels)):
-        for entry in level_refs[lvl].values():
-            try:
-                ck = Checkpoint.load(os.path.join(directory, entry.path), entry.window)
-            except FileNotFoundError as exc:
-                raise IntegrityError(
-                    f"{mpath} references missing checkpoint {entry.path}") from exc
-            ck.path = entry.path
-            if lvl and ck.key_range != entry.key_range:
-                raise IntegrityError(
-                    f"{entry.path} holds keys {ck.key_range}, {mpath} records {entry.key_range}")
-            levels[lvl].append(ck)
-            if ck.window.hi - 1 > highest:
-                highest = ck.window.hi - 1
-    # read and validate every live log before changing any file
-    live_entries = list(live_refs.values())
-    scans = [CommitLog.scan(os.path.join(directory, e.path)) for e in live_entries]
-    # every log but the trailing one was fsynced whole before the next was
-    # added, so only the trailing one can have been torn by a crash
-    for entry, (_, cut) in zip(live_entries[:-1], scans):
-        if cut is not None:
-            raise IntegrityError(
-                f"{entry.path}: bad last frame at byte {cut} in a rotated log")
-    for entry, (commits, cut) in zip(live_entries, scans):
-        if cut is not None:
-            os.truncate(os.path.join(directory, entry.path), cut)
-        highest = max([highest] + [ct for _, ct, _ in commits])
-    faults.fire("during-recovery-step-2")
+        # a rotation removes the sealed log in the batch that adds the next
+        if len(live_refs) > 1:
+            raise IntegrityError(f"{mpath} names {len(live_refs)} live logs "
+                                 f"({', '.join(live_refs)}); at most one can be live")
+        highest = max(0, max_manifest_ts)
+        for lvl in range(config.max_levels, len(level_refs)):
+            if level_refs[lvl]:
+                raise StoreError(
+                    f"manifest references level {lvl} but config allows "
+                    f"{config.max_levels} levels")
+        levels: list[list[Checkpoint]] = [[] for _ in range(config.max_levels)]
+        for lvl in range(min(len(level_refs), config.max_levels)):
+            for entry in level_refs[lvl].values():
+                try:
+                    ck = Checkpoint.load(os.path.join(directory, entry.path), entry.window)
+                except FileNotFoundError as exc:
+                    raise IntegrityError(
+                        f"{mpath} references missing checkpoint {entry.path}") from exc
+                ck.path = entry.path
+                if lvl and ck.key_range != entry.key_range:
+                    raise IntegrityError(
+                        f"{entry.path} holds keys {ck.key_range}, {mpath} records {entry.key_range}")
+                levels[lvl].append(ck)
+                if ck.window.hi - 1 > highest:
+                    highest = ck.window.hi - 1
+        # read and validate the log before changing any file
+        log = next(iter(live_refs.values()), None)
+        commits = []
+        if log is not None:
+            log_path = os.path.join(directory, log.path)
+            commits, cut = CommitLog.scan(log_path)
+            if cut is not None:
+                os.truncate(log_path, cut)
+            highest = max([highest] + [ct for _, ct, _ in commits])
+        faults.fire("during-recovery-step-2")
 
-    # A trailing pair with no writes is kept as the accepting pair, so a
-    # reopen with nothing to fold changes no file.
-    adopted: WALMemtablePair | None = None
-    if scans and not any(writes for _, _, writes in scans[-1][0]):
-        commits, _ = scans.pop()  # its torn tail, if any, is cut above
-        entry = live_entries.pop()
-        wal = CommitLog(os.path.join(directory, entry.path), _recovered=True)
-        adopted = WALMemtablePair(wal, MapStore(), Window(entry.window.lo, None))
-        for _, ct, _ in commits:
-            adopted._count_commit(ct, 0)
-
-    # fold every other live log into one L0 checkpoint: each window boundary
-    # is a group boundary (do_begin keeps st >= window.lo - 1), so folding the
-    # logs together equals folding each and applying them oldest first
-    commits = [c for log_commits, _ in scans for c in log_commits]
-    if commits:
-        window = Window(min(e.window.lo for e in live_entries),
-                        max(ct for _, ct, _ in commits) + 1)
-        ck = fold_commits(commits, window)
-        if len(ck):
+        coverage_hi = max((ck.window.hi for row in levels for ck in row), default=0)
+        if any(writes for _, _, writes in commits):
+            # fold the log straight into one L0 checkpoint
+            ck = fold_commits(commits, Window(log.window.lo,
+                                              max(ct for _, ct, _ in commits) + 1))
             ck.path = ckpt_name(fid)
             fid += 1
             ck.persist(os.path.join(directory, ck.path))
             levels[0].append(ck)
-    faults.fire("during-recovery-step-3")
+            coverage_hi = ck.window.hi
+        elif log is not None and log.window.lo == coverage_hi:
+            # a log with no writes, starting where the checkpoints end, stays
+            # the accepting pair, so a reopen with nothing to fold changes no
+            # file (one whose window no longer tiles is dropped)
+            pair = WALMemtablePair(CommitLog(log_path, _recovered=True), MapStore(),
+                                   Window(log.window.lo, None))
+            for _, ct, _ in commits:
+                pair._count_commit(ct, 0)
+        faults.fire("during-recovery-step-3")
 
-    coverage_hi = max((ck.window.hi for row in levels for ck in row), default=0)
-    if adopted is not None and adopted.window.lo != coverage_hi:
-        # windows no longer tile up to the pair; drop it too (it holds no
-        # writes) and fall back to a fresh pair
-        adopted.wal.close()
-        adopted = None
-    fresh = adopted
-    if fresh is None:
-        fresh = WALMemtablePair(CommitLog(os.path.join(directory, wal_name(fid))),
-                                MapStore(), Window(coverage_hi, None))
-        fid += 1
+        if pair is None:
+            pair = WALMemtablePair(CommitLog(os.path.join(directory, wal_name(fid))),
+                                   MapStore(), Window(coverage_hi, None))
+            fid += 1
 
-    replayed = {(e.level, e.path): (e.window, e.key_range)
-                for refs in (live_refs, *level_refs) for e in refs.values()}
-    new = _named((fresh,), levels)
-    edits = _layout_edits(replayed, new)
-    if edits:
-        manifest.append(highest, edits)
-    faults.fire("during-recovery-step-4")
+        replayed = {(e.level, e.path): (e.window, e.key_range)
+                    for refs in (live_refs, *level_refs) for e in refs.values()}
+        new = _named((pair,), levels, {})
+        edits = _layout_edits(replayed, new)
+        if edits:
+            manifest.append(highest, edits)
+        faults.fire("during-recovery-step-4")
 
-    # a file the layout does not name was left by a crash or a failed unlink
-    kept = {name for _, name in new}
-    for name in os.listdir(directory):
-        if name.startswith(("wal-", "ckpt-")) and name not in kept:
-            try:
-                os.remove(os.path.join(directory, name))
-            except OSError:
-                pass
+        # a file the layout does not name was left by a crash or a failed unlink
+        kept = {name for _, name in new}
+        for name in os.listdir(directory):
+            if name.startswith(("wal-", "ckpt-")) and name not in kept:
+                try:
+                    os.remove(os.path.join(directory, name))
+                except OSError:
+                    pass
 
-    engine = LevelledStore(directory, config, manifest, live=[fresh], levels=levels,
-                           last_ct=highest, fid=fid)
-    faults.fire("during-recovery-step-5")
+        engine = LevelledStore(directory, config, manifest, live=[pair], levels=levels,
+                               last_ct=highest, fid=fid)
+        faults.fire("during-recovery-step-5")
+    except BaseException:
+        if pair is not None:
+            pair.wal.close()
+        manifest.close()
+        raise
     return engine, highest
 
 

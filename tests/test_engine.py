@@ -26,7 +26,7 @@ from cobble.engine import (
     replay_manifest,
 )
 from cobble.faults import CrashProcess, FailFlush, FaultPlan, InjectedCrash
-from cobble.oracle import Trace, generate_trace, replay, valuation_effect
+from cobble.oracle import Step, Trace, generate_trace, replay, valuation_effect
 from cobble.persistent import CommitLog, ManifestLog, _FrameFile
 from cobble.store import (
     IntegrityError,
@@ -897,6 +897,8 @@ class TestManifest:
             assert (fid, ts) == (1, 2)
 
     def test_one_frame_per_batch(self, tmp_path, monkeypatch):
+        """Each batch is one frame, and a commit appends one batch for its
+        rotation and one per level merge it runs: none for a swap."""
         appended = []
         real_append = ManifestLog.append
 
@@ -907,11 +909,19 @@ class TestManifest:
         monkeypatch.setattr(ManifestLog, "append", append)
         d = str(tmp_path / "db")
         engine = LevelledStore.create(d, small_config(live_capacity=2, wmp_rotate_effects=2))
+        assert len(appended) == 1  # the first pair's log
         for i in range(12):
+            before = len(appended), dict(engine.stats)
             run_txn(engine, f"t{i}", i, i + 1, [(f"k{i % 3}", Effect.incr(1)),
                                                 (f"j{i % 5}", Effect.assign(i))])
+            stats = engine.stats
+            assert len(appended) - before[0] == (
+                stats["rotations"] - before[1]["rotations"]
+                + stats["level_merges"] - before[1]["level_merges"]), i
         engine.close()
         assert engine.stats["rotations"] == 12 and engine.stats["level_merges"] > 0
+        assert engine.stats["live_checkpoints"] == 11  # swaps, which logged nothing
+        assert len(appended) == 1 + 12 + engine.stats["level_merges"]
         with open(os.path.join(d, "MANIFEST"), "rb") as f:
             frames, _ = codec.scan_frames(f.read())
         assert [codec.decode_batch(p) for p in frames] == appended
@@ -978,6 +988,8 @@ class TestManifest:
         engine.close()
 
     def test_replay_reconstructs_live_layout(self, tmp_path):
+        """The MANIFEST names the accepting pair's log, and each sealed live
+        pair by its flushed checkpoint at level 0, after the level's own."""
         d = str(tmp_path / "db")
         engine = LevelledStore.create(d, small_config(live_capacity=2,
                                                       wmp_rotate_effects=2))
@@ -985,41 +997,59 @@ class TestManifest:
                                eager_notify=True)
         replay(engine, trace)
         want = engine.layout()
+        flushed = flushed_paths(engine)
         engine.close()
+        assert len(want["live"]) == 2 and len(flushed) == 1
         manifest, batches = ManifestLog.recover(os.path.join(d, "MANIFEST"))
         manifest.close()
         live, levels, _, _ = replay_manifest(batches)
-        assert [e.path for e in live.values()] == [p for p, _ in want["live"]]
-        for lvl, row in enumerate(levels):
+        assert [e.path for e in live.values()] == [want["live"][-1][0]]
+        assert [e.path for e in levels[0].values()] == [
+            p for p, _, _ in want["levels"][0]] + flushed
+        for lvl, row in enumerate(levels[1:], 1):
             assert [e.path for e in row.values()] == [
                 p for p, _, _ in want["levels"][lvl]]
 
     def test_every_batch_is_a_layout_diff(self, tmp_path):
         """Each batch names a (level, name) at most once, replaying them gives
-        the layout level by level, and every file takes its name from the
-        one counter."""
+        the layout level by level (a sealed live pair as its flushed level-0
+        checkpoint), the MANIFEST never names two logs, and every file takes
+        its name from the one counter."""
         d = str(tmp_path / "db")
         engine = LevelledStore.create(d, small_config(
-            live_capacity=1, wmp_rotate_effects=3, level_capacities=(1, 2, 1 << 30)))
+            live_capacity=3, wmp_rotate_effects=3, level_capacities=(1, 2, 1 << 30)))
         replay(engine, generate_trace(seed=4, txn_count=80, max_concurrency=1,
                                       eager_notify=True))
         stats = engine.stats
         assert min(stats["rotations"], stats["live_checkpoints"], stats["level_merges"]) > 3
         want = engine.layout()
+        flushed = flushed_paths(engine)
         engine.close()
+        assert len(flushed) == 2
         batches, _ = ManifestLog.scan(os.path.join(d, "MANIFEST"))
+        live = set()
         for _, entries in batches:
             named = [(e.level, e.path) for e in entries]
             assert len(set(named)) == len(named), named
+            for e in entries:
+                if e.level == -1:
+                    (live.add if e.action == ManifestAction.ADD else live.discard)(e.path)
+            assert len(live) == 1, live
         live, levels, fid, _ = replay_manifest(batches)
-        assert list(live) == [p for p, _ in want["live"]]
-        assert [list(row) for row in levels] == [
-            [p for p, _, _ in row] for row in want["levels"]]
+        assert list(live) == [want["live"][-1][0]]
+        want_levels = [[p for p, _, _ in row] for row in want["levels"]]
+        want_levels[0] += flushed
+        assert [list(row) for row in levels] == want_levels
         names = set(os.listdir(d)) - {"MANIFEST"}
         assert names == set(live).union(*levels)
         assert all(re.fullmatch(r"wal-\d+\.log|ckpt-\d+\.cb", n) for n in names), names
         fids = [int(n[5:-3]) if n.startswith("ckpt-") else int(n[4:-4]) for n in names]
         assert max(fids) == fid - 1
+
+
+def flushed_paths(engine) -> list[str]:
+    """The checkpoint files of the sealed live pairs, oldest first."""
+    return [engine._flushed[w].path for w in engine._layout[0] if w in engine._flushed]
 
 
 def build_engine_dir(d: str, seed=13, txn_count=40, compact_every=None) -> object:
@@ -1110,6 +1140,25 @@ class TestRecovery:
         os.remove(os.path.join(d, victim))
         with pytest.raises(IntegrityError, match=victim):
             recover_engine(d, small_config())
+
+    def test_a_refused_open_closes_every_handle(self, tmp_path, monkeypatch):
+        """recover_engine closes the MANIFEST (and any log) it opened when a
+        later step raises."""
+        refused = str(tmp_path / "overlap")
+        _manifest_of(refused, [TestLevelChecksOnOpen._l1("ckpt-1.cb", ("a", "f")),
+                               TestLevelChecksOnOpen._l1("ckpt-2.cb", ("c", "m"), 5)])
+        missing = str(tmp_path / "missing")
+        build_engine_dir(missing, compact_every=12)
+        engine, _ = recover_engine(missing, small_config())
+        victim = next(path for row in engine.layout()["levels"] for path, _, _ in row)
+        engine.close()
+        os.remove(os.path.join(missing, victim))
+        opened = recording_logs(monkeypatch)
+        for d in (refused, missing):
+            with pytest.raises(IntegrityError):
+                recover_engine(d, small_config())
+            assert [log.path for log in opened] == [os.path.join(d, "MANIFEST")]
+            assert opened.pop()._f.closed
 
     def test_crash_before_rotation_manifest_keeps_data(self, tmp_path):
         d = str(tmp_path / "db")
@@ -1238,6 +1287,19 @@ class TestLevelChecksOnOpen:
         self._refused(d2, "ckpt-1-0-5-1.cb")
 
 
+def recording_logs(monkeypatch) -> list:
+    """Every CommitLog and ManifestLog the engine module opens from now on,
+    in the order opened."""
+    opened = []
+    for name in ("CommitLog", "ManifestLog"):
+        class Recording(getattr(cobble.engine, name)):
+            def __init__(self, *args, **kw):
+                super().__init__(*args, **kw)
+                opened.append(self)
+        monkeypatch.setattr(cobble.engine, name, Recording)
+    return opened
+
+
 def _engine_with_live_pairs(d: str, cfg: EngineConfig, txns: int = 32) -> tuple[dict, dict]:
     """Commit txns of two writes each and close; returns {key: effect} at
     the latest snapshot and the layout, both read before the close."""
@@ -1264,27 +1326,33 @@ def _files(d: str) -> dict[str, bytes]:
 
 
 class TestRecoveryFold:
-    """Recovery folds every live log that holds writes into one L0 checkpoint."""
+    """Recovery loads each sealed pair's flushed checkpoint as level 0 and
+    folds the one live log, when it holds writes, into one more."""
 
-    cfg = small_config(live_capacity=8, wmp_rotate_effects=6,
+    cfg = small_config(live_capacity=8, wmp_rotate_effects=8,
                        level_capacities=(64, 64, 1 << 30))
+    TXNS = 31  # four txns of two writes fill a pair: the last log holds three
 
     def test_live_logs_fold_into_one_l0_checkpoint(self, tmp_path):
         d = str(tmp_path / "db")
-        reads, before = _engine_with_live_pairs(d, self.cfg)
-        logs = [name for name, _ in before["live"]]
-        assert len(logs) >= 3 and all(os.path.getsize(os.path.join(d, n)) for n in logs)
+        reads, before = _engine_with_live_pairs(d, self.cfg, self.TXNS)
+        log, (lo, _) = before["live"][-1]
+        sealed = [window for _, window in before["live"][:-1]]
+        assert len(sealed) >= 3
+        assert [n for n in os.listdir(d) if n.startswith("wal-")] == [log]
+        assert os.path.getsize(os.path.join(d, log))
         l0_before = [name for name, _, _ in before["levels"][0]]
 
         layouts = []
         for _ in range(2):
             engine, floor = open_engine(d, self.cfg)
             layout = engine.layout()
-            assert len(layout["levels"][0]) == len(l0_before) + 1
-            (_, (lo, hi), _), = [c for c in layout["levels"][0] if c[0] not in l0_before]
-            assert (lo, hi) == (before["live"][0][1][0], floor + 1)
+            l0 = layout["levels"][0]
+            assert [name for name, _, _ in l0[:len(l0_before)]] == l0_before
+            # the sealed pairs' checkpoints, oldest first, then the log's fold
+            assert [w for _, w, _ in l0[len(l0_before):]] == sealed + [(lo, floor + 1)]
             (name, window), = layout["live"]
-            assert window == (floor + 1, None) and name not in logs
+            assert window == (floor + 1, None) and name != log
             assert {k: effect_at(engine, k, floor + 1) for k in reads} == reads
             layouts.append(layout)
             engine.close()
@@ -1292,22 +1360,21 @@ class TestRecoveryFold:
 
     def test_bad_middle_frame_changes_no_file(self, tmp_path):
         d = str(tmp_path / "db")
-        _engine_with_live_pairs(d, self.cfg)
-        logs = sorted((os.path.join(d, n) for n in os.listdir(d) if n.startswith("wal-")),
-                      key=lambda p: int(os.path.basename(p)[4:-4]))
-        assert len(logs) >= 3
-        faults.truncate_file(logs[-1], -3)  # a torn tail on the last log
+        _engine_with_live_pairs(d, self.cfg, self.TXNS)
+        (name,) = [n for n in os.listdir(d) if n.startswith("wal-")]
+        log = os.path.join(d, name)
+        faults.truncate_file(log, -3)  # a torn tail on the log
         torn = _files(d)
-        frames, _ = codec.scan_frames(torn[os.path.basename(logs[1])])
+        frames, _ = codec.scan_frames(torn[name])
         assert len(frames) >= 2
-        faults.corrupt_file(logs[1], 10, 1)  # inside the first frame's payload
+        faults.corrupt_file(log, 10, 1)  # inside the first frame's payload
         before = _files(d)
         for _ in range(2):
             with pytest.raises(IntegrityError):
                 open_engine(d, self.cfg)
             assert _files(d) == before
-        with open(logs[1], "wb") as f:
-            f.write(torn[os.path.basename(logs[1])])
+        with open(log, "wb") as f:
+            f.write(torn[name])
 
         ref_dir = str(tmp_path / "ref")
         shutil.copytree(d, ref_dir)
@@ -1317,17 +1384,16 @@ class TestRecoveryFold:
         ref_reads = {k: effect_at(ref, k, ref_floor + 1) for k in keys}
         ref.close()
 
-        # a crash once the logs are read leaves only the torn tail cut
+        # a crash once the log is read leaves only the torn tail cut
         faults.install_plan(FaultPlan().arm("during-recovery-step-2", CrashProcess()))
         with pytest.raises(InjectedCrash):
             recover_engine(d, self.cfg)
         faults.clear_plan()
         after = _files(d)
-        last = os.path.basename(logs[-1])
-        _, valid_end = codec.scan_frames(torn[last])
-        assert valid_end < len(torn[last]) and after[last] == torn[last][:valid_end]
-        assert {n: b for n, b in after.items() if n != last} == {
-            n: b for n, b in torn.items() if n != last}
+        _, valid_end = codec.scan_frames(torn[name])
+        assert valid_end < len(torn[name]) and after[name] == torn[name][:valid_end]
+        assert {n: b for n, b in after.items() if n != name} == {
+            n: b for n, b in torn.items() if n != name}
         for _ in range(2):
             engine, floor = open_engine(d, self.cfg)
             assert floor == ref_floor
@@ -1335,29 +1401,46 @@ class TestRecoveryFold:
             assert {k: effect_at(engine, k, floor + 1) for k in keys} == ref_reads
             engine.close()
 
-
-    def test_bad_last_frame_of_a_rotated_log_raises(self, tmp_path):
+    def test_manifest_naming_two_live_logs_raises(self, tmp_path):
+        """A rotation removes the sealed log in the batch that adds the next,
+        so a MANIFEST naming two live logs is refused, as is a damaged
+        flushed checkpoint; neither open changes a file. Damage at the end
+        of the one log is a torn tail: cut, losing the commit in it."""
         d = str(tmp_path / "db")
         cfg = EngineConfig(wmp_rotate_effects=2)
         engine = LevelledStore.create(d, cfg)
         for i in range(7):
             run_txn(engine, f"t{i}", max(0, i - 1), i, [("k", Effect.incr(1))])
+        flushed = flushed_paths(engine)
         engine.close()
-        logs = [f"wal-{fid}.log" for fid in range(4)]  # one per rotation, by fid
-        assert sorted(n for n in os.listdir(d) if n.startswith("wal-")) == logs
+        assert engine.stats["rotations"] == 3 and len(flushed) == 3
+        (log,) = [n for n in os.listdir(d) if n.startswith("wal-")]
         good = _files(d)
-        faults.corrupt_file(os.path.join(d, logs[0]), -6, 1)
+
+        shutil.copy(os.path.join(d, log), os.path.join(d, "wal-99.log"))
+        mlog, _ = ManifestLog.recover(os.path.join(d, "MANIFEST"))
+        mlog.append(6, [ManifestEntry(ManifestAction.ADD, -1, "wal-99.log", Window(7, None))])
+        mlog.close()
         before = _files(d)
         for _ in range(2):
-            with pytest.raises(IntegrityError, match=logs[0]):
+            with pytest.raises(IntegrityError, match="2 live logs") as exc:
+                open_engine(d, cfg)
+            assert log in str(exc.value) and "wal-99.log" in str(exc.value)
+            assert _files(d) == before
+        os.remove(os.path.join(d, "wal-99.log"))
+        with open(os.path.join(d, "MANIFEST"), "wb") as f:
+            f.write(good["MANIFEST"])
+
+        faults.corrupt_file(os.path.join(d, flushed[0]), -6, 1)
+        before = _files(d)
+        for _ in range(2):
+            with pytest.raises(IntegrityError):
                 open_engine(d, cfg)
             assert _files(d) == before
+        with open(os.path.join(d, flushed[0]), "wb") as f:
+            f.write(good[flushed[0]])
 
-        # the same damage on the trailing log is a torn tail: cut, and the
-        # commit in it is lost
-        with open(os.path.join(d, logs[0]), "wb") as f:
-            f.write(good[logs[0]])
-        faults.corrupt_file(os.path.join(d, logs[-1]), -6, 1)
+        faults.corrupt_file(os.path.join(d, log), -6, 1)
         layouts = []
         for _ in range(2):
             engine, floor = open_engine(d, cfg)
@@ -1407,7 +1490,10 @@ class TestOrphans:
         _only_named_files_then_idempotent(d, self.cfg, reads)
         assert not left & set(os.listdir(d))
 
-    def test_log_of_a_failed_rotation_is_swept_on_reopen(self, tmp_path):
+    def test_log_of_a_failed_rotation_is_swept_on_reopen(self, tmp_path, monkeypatch):
+        """A rotation whose MANIFEST batch fails closes the log it opened;
+        that log and the checkpoint it built are swept on reopen."""
+        opened = recording_logs(monkeypatch)
         d = str(tmp_path / "db")
         engine = LevelledStore.create(d, self.cfg)
         run_txn(engine, "t0", 0, 0, [("k", Effect.assign(5))])
@@ -1416,10 +1502,134 @@ class TestOrphans:
         with pytest.raises(OSError):
             run_txn(engine, "t1", 0, 1, [("k", Effect.incr(1)), ("j", Effect.incr(2))])
         faults.clear_plan()
-        orphan, = set(os.listdir(d)) - before
+        new_log = opened[-1]
+        assert new_log._f.closed
+        orphans = set(os.listdir(d)) - before
+        assert sorted(n.split("-")[0] for n in orphans) == ["ckpt", "wal"]
+        assert os.path.basename(new_log.path) in orphans
         engine.close()
+        # the reopen names its fold and its new log from the MANIFEST's
+        # counter, so it may take over an orphan's name, rewriting the file
         _only_named_files_then_idempotent(d, self.cfg, {"k": (5, 1), "j": (None, 2)})
-        assert orphan not in os.listdir(d)
+
+
+class TestFlushAtSeal:
+    """A rotation persists the sealed pair's checkpoint and logs one batch:
+    ADD it at level 0, REMOVE the sealed log, ADD the next log. The pair
+    stays live until the swap, which writes nothing."""
+
+    cfg = small_config(live_capacity=3, wmp_rotate_effects=2)
+
+    @staticmethod
+    def _commit(engine, steps, i, updates):
+        """Commit txn i (st i - 1, ct i) through the engine and the trace."""
+        txn_id, st = f"t{i}", max(0, i - 1)
+        steps.append(Step("begin", txn_id, st=st))
+        steps += [Step("update", txn_id, key=k, kind=kind, amount=n) for k, kind, n in updates]
+        steps.append(Step("commit", txn_id, ct=i))
+        run_txn(engine, txn_id, st, i, [
+            (k, Effect.assign(n) if kind == "assign" else Effect.incr(n))
+            for k, kind, n in updates])
+
+    @staticmethod
+    def _updates(i):
+        return [("k", "incr", i + 1)] if i % 2 == 0 else [(f"j{i % 3}", "assign", i)]
+
+    def _reads(self, steps):
+        trace = Trace(list(steps))
+        return {k: valuation_effect(trace, k, trace.max_ct() + 1) for k in trace.keys()}
+
+    def test_rotation_logs_one_batch_and_the_swap_none(self, tmp_path):
+        d = str(tmp_path / "db")
+        engine = LevelledStore.create(d, self.cfg)
+        steps = []
+        mpath = os.path.join(d, "MANIFEST")
+        self._commit(engine, steps, 0, self._updates(0))
+        size = os.path.getsize(mpath)
+        self._commit(engine, steps, 1, self._updates(1))  # seals [0, 2)
+        assert engine.stats["rotations"] == 1
+        (_, entries), = ManifestLog.scan(mpath)[0][-1:]
+        assert [(e.action, e.level, e.path) for e in entries] == [
+            (ManifestAction.REMOVE, -1, "wal-0.log"),
+            (ManifestAction.ADD, 0, "ckpt-1.cb"),
+            (ManifestAction.ADD, -1, "wal-2.log")]
+        assert os.path.getsize(mpath) > size
+        assert sorted(os.listdir(d)) == ["MANIFEST", "ckpt-1.cb", "wal-2.log"]
+        # the sealed pair still answers reads inside its window
+        assert [w for _, w in engine.layout()["live"]] == [(0, 2), (2, None)]
+        assert engine.horizon == 0
+        assert effect_at(engine, "j1", 1) is None
+        assert effect_at(engine, "j1", 2) == (1, 0)
+        files = _files(d)
+        engine.compact()  # within capacity: nothing to swap
+        assert engine.stats["live_checkpoints"] == 0
+        with engine._mutex:  # swap the sealed pair, but merge nothing
+            engine._compact_live_locked(force=True)
+        assert engine.stats["live_checkpoints"] == 1
+        assert [w for _, w in engine.layout()["live"]] == [(2, None)]
+        assert [p for p, _, _ in engine.layout()["levels"][0]] == ["ckpt-1.cb"]
+        assert engine.horizon == 2
+        assert _files(d) == files  # the swap wrote no batch and no file
+        for i in range(2, 9):
+            self._commit(engine, steps, i, self._updates(i))
+            wals = [n for n in os.listdir(d) if n.startswith("wal-")]
+            assert wals == [engine.layout()["live"][-1][0]], i
+        engine.close()
+        _only_named_files_then_idempotent(d, self.cfg, self._reads(steps))
+
+    def _crash_in_rotation(self, d, point, action):
+        engine = LevelledStore.create(d, self.cfg)
+        steps = []
+        for i in range(4):
+            self._commit(engine, steps, i, self._updates(i))
+        assert engine.stats["rotations"] == 2
+        faults.install_plan(FaultPlan().arm(point, action))
+        with pytest.raises((InjectedCrash, OSError)):  # the commit is durable
+            self._commit(engine, steps, 4, self._updates(4) + [("x", "assign", 7)])
+        faults.clear_plan()
+        assert engine.stats["rotations"] == 3
+        return engine, steps
+
+    def test_crash_during_checkpoint_serialize(self, tmp_path):
+        d = str(tmp_path / "db")
+        engine, steps = self._crash_in_rotation(d, "during-checkpoint-serialize", CrashProcess())
+        assert len([n for n in os.listdir(d) if n.startswith("ckpt-")]) == 3  # one torn
+        engine.close()
+        _only_named_files_then_idempotent(d, self.cfg, self._reads(steps))
+
+    def test_crash_before_the_rotation_batch(self, tmp_path):
+        d = str(tmp_path / "db")
+        engine, steps = self._crash_in_rotation(
+            d, "after-wal-write-before-manifest", CrashProcess())
+        assert len([n for n in os.listdir(d) if n.startswith("wal-")]) == 2
+        engine.close()
+        _only_named_files_then_idempotent(d, self.cfg, self._reads(steps))
+
+    def test_failed_unlink_after_the_batch(self, tmp_path, monkeypatch):
+        d = str(tmp_path / "db")
+        engine = LevelledStore.create(d, self.cfg)
+        steps = []
+        for i in range(3):
+            self._commit(engine, steps, i, self._updates(i))
+        sealed = engine.layout()["live"][-1][0]
+        real_remove = os.remove
+        refused = []
+
+        def remove(path, *args, **kw):
+            if os.path.basename(path) == sealed:
+                refused.append(path)
+                raise OSError("injected unlink failure")
+            real_remove(path, *args, **kw)
+        with monkeypatch.context() as m:
+            m.setattr(os, "remove", remove)
+            self._commit(engine, steps, 3, self._updates(3))  # seals the pair
+        assert refused and engine.stats["rotations"] == 2
+        wals = sorted(n for n in os.listdir(d) if n.startswith("wal-"))
+        assert sealed in wals and len(wals) == 2
+        self._commit(engine, steps, 4, self._updates(4))
+        engine.close()
+        _only_named_files_then_idempotent(d, self.cfg, self._reads(steps))
+        assert sealed not in os.listdir(d)
 
 
 class TestLiveThreaded:

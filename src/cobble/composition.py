@@ -87,6 +87,11 @@ class WALMemtablePair(Store):
         self.memtable.seal(self._window)
         return self._window
 
+    def unseal(self) -> None:
+        """Reopen the window, as a rotation that failed leaves the pair."""
+        self._window = Window(self._window.lo, None)
+        self.memtable.unseal()
+
 
 def rebuild_wmp(wal_path: str, lo: int) -> WALMemtablePair:
     """Reconstruct a live pair from its commit log, memtable included.

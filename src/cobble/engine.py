@@ -2,50 +2,49 @@
 checkpoint levels below, a MANIFEST recording every structural change.
 
 Every file takes its name from one counter: wal-{fid}.log for a commit log,
-ckpt-{fid}.cb for a checkpoint, wherever it sits in the layout. Every
-layout change (a rotation, a checkpoint swap, a merge) goes through one
-method, _apply_locked: it logs the difference between the current layout
-and the new one as one MANIFEST batch of ADD/REMOVE entries, made durable
-as one frame before the layout in memory changes (no batch when nothing
-named changed), then unlinks every file the new layout no longer names.
-None of the MANIFEST stays in memory. A batch also records the last commit
+ckpt-{fid}.cb for a checkpoint, wherever it sits in the layout. The layout
+changes only in a compaction pass, which builds the final layout (a
+rotation when the accepting pair is full, then the swaps and level merges
+that capacity asks for and the gate allows), writes the checkpoints that
+layout holds with no file, and applies it with _apply_locked: the
+difference from the current layout is logged as one MANIFEST batch of
+ADD/REMOVE entries, durable as one frame before the layout in memory
+changes (no batch when nothing named changed), and every file the new
+layout no longer names is unlinked. A pass that raises changes nothing in
+memory and unlinks what it wrote; a commit or abort that ran it still
+reports its own outcome, the error is kept in compaction_error, and the
+next commit runs the pass again. A batch also records the last commit
 timestamp: once recovery drops a log that held no writes, that is the only
 trace of its commits.
 
 Each live pair is the write-all/read-one composition: its log holds one
 frame per committed transaction and serves no reads, its memtable serves
 them all. A begin pins the transaction to the accepting pair, and that pin
-is the transaction's only lifecycle below the coordinator: it refuses a
-duplicate begin and an update, commit or abort of a transaction it does
-not hold, and the pair sees only the commit. A pair is flushed when it is
-sealed: its level-0 checkpoint, whose columns come straight from the
-memtable's per-key version lists, is persisted, and one batch adds it,
-removes the sealed log and adds the next pair's log. So the MANIFEST
-names at most one log, the accepting pair's. The sealed pair stays live,
-its memtable answering every read, old ones included, until the capacity
-loop swaps the built checkpoint into level 0; the MANIFEST already names
-it there, so the swap writes nothing. Level 0 holds checkpoints in age
-order with overlapping key ranges; every level >= 1 is a run of
-checkpoints sorted by key range with disjoint ranges, so a key lives in at
-most one checkpoint per level. A read walks the live pairs and level 0
-newest to oldest, then makes one bisect over each deeper level's range
-starts and at most one probe there, collecting per-slice effects until an
-assignment cuts history, and folds the slices oldest-first. The compaction
-horizon is the highest window top in the levels.
+is the transaction's only lifecycle below the coordinator. A rotation
+waits until no transaction is pinned, so every pin is on the accepting
+pair. It seals the pair and persists its level-0 checkpoint, built from
+the memtable's per-key version lists; the pass's batch adds it, removes
+the sealed log and adds the next pair's log, so the MANIFEST names at most
+one log. The sealed pair stays live, its memtable answering every read,
+until a pass swaps the checkpoint into level 0, which changes no name.
+Level 0 holds checkpoints in age order with overlapping key ranges; every
+level >= 1 is a run of checkpoints sorted by key range with disjoint
+ranges. A read walks the live pairs and level 0 newest to oldest, then
+makes one bisect and at most one probe per deeper level, collecting
+per-slice effects until an assignment cuts history, and folds the slices
+oldest-first. The compaction horizon is the highest window top in the
+levels; a begin below it is refused, since its reads could not be answered.
 
-A level merge moves a source that overlaps nothing in the level below down
-whole, and otherwise folds it into only the checkpoints it overlaps.
-Compaction only folds already-consolidated entries; it never merges
-concurrent effects across stores, and it runs only after the layout changed
-or a snapshot that held it back ended. Recovery replays the MANIFEST
-(cutting a torn last batch), rebuilds each level's key order from the
-ranges it records (refusing overlaps), loads the flushed checkpoints of
-sealed pairs as level 0, folds the one named log straight into one more
-level-0 checkpoint when it holds writes (no memtable is rebuilt), logs the
-difference from the replayed layout as one batch, deletes every wal-*/ckpt-*
-file the result does not name (what a crash or a failed unlink left
-behind), and restarts timestamps above every commit timestamp it saw;
-rerunning it reproduces the same visible layout.
+A level merge (merge_down, a function of the rows alone) moves a source
+that overlaps nothing below down whole, and otherwise folds it into only
+the checkpoints it overlaps. Compaction only folds already-consolidated
+entries, never concurrent effects across stores. Recovery replays the
+MANIFEST (cutting a torn last batch), rebuilds each level's key order from
+the ranges it records (refusing overlaps), folds the one named log straight
+into one more level-0 checkpoint when it holds writes, logs the difference
+from the replayed layout as one batch, deletes every wal-*/ckpt-* file the
+result does not name, and restarts timestamps above every commit timestamp
+it saw; rerunning it reproduces the same visible layout.
 """
 
 from __future__ import annotations
@@ -58,8 +57,7 @@ from dataclasses import dataclass
 
 from . import faults
 from .composition import Checkpoint, WALMemtablePair, fold_commits, make_checkpoint
-# recovery no longer calls rebuild_wmp; perfbench/spans.py still wraps it by
-# this name
+# perfbench/spans.py wraps rebuild_wmp by this name; recovery no longer calls it
 from .composition import rebuild_wmp  # noqa: F401
 from .effects import Effect, apply
 from .memory import MapStore
@@ -114,6 +112,7 @@ _FILE_NAME = re.compile(r"wal-(\d+)\.log|ckpt-(\d+)\.cb")
 # (level, name) -> (window, key range) of every file a layout names, in
 # layout order
 Named = dict[tuple[int, str], tuple[Window, tuple[str, str] | None]]
+Levels = tuple[tuple[Checkpoint, ...], ...]
 
 
 def _log_name(wmp: WALMemtablePair) -> str:
@@ -123,17 +122,26 @@ def _log_name(wmp: WALMemtablePair) -> str:
 def _named(live, levels, flushed) -> Named:
     """What a layout names: each live pair's log, or, for a pair in flushed
     (a sealed pair mapped to its built checkpoint), that checkpoint at level
-    0 (nothing when it holds no keys); then every level's checkpoints."""
+    0; then every level's checkpoints."""
     named: Named = {}
     for w in live:
         ck = flushed.get(w)
         if ck is None:
             named[(LIVE_LEVEL, _log_name(w))] = (w.window, None)
-        elif ck.path is not None:
+        else:
             named[(0, ck.path)] = (ck.window, None)
     for lvl, row in enumerate(levels):
         named.update(((lvl, ck.path), (ck.window, ck.key_range)) for ck in row)
     return named
+
+
+def _unlink(path: str) -> None:
+    """Delete a file; one a failed unlink leaves is an orphan that the next
+    recovery deletes."""
+    try:
+        os.remove(path)
+    except OSError:
+        pass
 
 
 def _layout_edits(old: Named, new: Named) -> list[ManifestEntry]:
@@ -147,6 +155,46 @@ def _layout_edits(old: Named, new: Named) -> list[ManifestEntry]:
                             key_range if lvl > 0 else None)
               for (lvl, name), (window, key_range) in new.items() if (lvl, name) not in old]
     return edits
+
+
+def merge_down(levels: Levels, level: int, count: int, chunk: int) -> Levels:
+    """levels with the first count checkpoints of levels[level] (oldest
+    first) merged into levels[level + 1], a run of checkpoints sorted by key
+    range with disjoint ranges. Nothing is written: a checkpoint it builds
+    has no path yet.
+
+    The targets a source overlaps are found by bisect on the range starts. A
+    source that overlaps none moves down whole: the same checkpoint and
+    file. Otherwise the source is cut at the overlapping targets' starts,
+    and each target folds in its piece (keys below the first target or
+    above the last join it, so ranges stay disjoint); a result of more than
+    2 * chunk entries is split into pieces of at most chunk. Only those
+    targets are rewritten.
+    """
+    row = list(levels[level + 1])
+    for src in levels[level][:count]:
+        lo, hi = src.key_range
+        starts = [ck.key_range[0] for ck in row]
+        a = bisect_right(starts, lo) - 1
+        if a < 0 or row[a].key_range[1] < lo:
+            a += 1
+        b = bisect_right(starts, hi)
+        if a == b:
+            row.insert(a, src)
+            continue
+        out: list[Checkpoint] = []
+        for target, piece in zip(row[a:b], src.cut(starts[a + 1:b])):
+            if not len(piece):
+                out.append(target)
+                continue
+            merged = target.fold(piece, Window(min(target.window.lo, src.window.lo),
+                                               max(target.window.hi, src.window.hi)))
+            if len(merged) > 2 * chunk:
+                out += merged.chunks(chunk)
+            else:
+                out.append(merged)
+        row[a:b] = out
+    return levels[:level] + (levels[level][count:], tuple(row)) + levels[level + 2:]
 
 
 class LevelledStore(Store):
@@ -163,9 +211,7 @@ class LevelledStore(Store):
         # (live pairs, checkpoint levels, each level's range starts), replaced
         # by one assignment so that a lookup reading it once never sees a pair
         # both live and checkpointed, or a level out of step with its starts
-        self._layout: tuple[tuple[WALMemtablePair, ...],
-                            tuple[tuple[Checkpoint, ...], ...],
-                            tuple[tuple[str, ...], ...]]
+        self._layout: tuple[tuple[WALMemtablePair, ...], Levels, tuple[tuple[str, ...], ...]]
         self._mutex = threading.RLock()
         # each live pair whose rotation flushed it -> its built checkpoint,
         # which the MANIFEST names at level 0 in place of the pair's log
@@ -173,19 +219,21 @@ class LevelledStore(Store):
         self._set_layout_locked(tuple(live), tuple(tuple(row) for row in levels))
         self._rotation_cond = threading.Condition(self._mutex)
         self._rotation_pending = False
-        # a scan for compaction work runs only after a rotation, checkpoint or
-        # merge changed the layout, or once a snapshot the gate held work back
-        # for is released; a reopened layout may hold work already
+        # a commit runs a pass for work other than a rotation only while this
+        # is set: a reopened layout may hold work, a failed pass leaves it,
+        # and the release of a snapshot the gate held work back for sets it
         self._compaction_due = any(levels)
         self._gate_blocked = False
-        self._pins: dict[str, WALMemtablePair] = {}
-        self._active_sts: dict[str, int] = {}
+        # txn id -> snapshot of each txn, all pinned to the accepting pair
+        self._pins: dict[str, int] = {}
         self._last_ct = last_ct
         self._fid = fid
         self.probes: dict[int, int] = {LIVE_LEVEL: 0}
         self.probes.update({k: 0 for k in range(config.max_levels)})
         self.stats = {"rotations": 0, "live_checkpoints": 0, "level_merges": 0,
-                      "old_read_rejections": 0}
+                      "old_read_rejections": 0, "failed_passes": 0}
+        # the OSError or StoreError of the last pass, None once one succeeds
+        self.compaction_error: Exception | None = None
 
     # -- construction ---------------------------------------------------------
 
@@ -201,8 +249,13 @@ class LevelledStore(Store):
                      live=[], levels=[[] for _ in range(config.max_levels)],
                      last_ct=-1, fid=0)
         with engine._mutex:
-            engine._open_fresh_wmp_locked(0)
-            engine._compaction_due = False  # one empty pair holds no work
+            first = engine._new_pair_locked(0)
+            try:
+                faults.fire("after-wal-write-before-manifest", path=first.wal.path)
+                engine._apply_locked((first,), engine._layout[1], {})
+            except BaseException:
+                first.wal.close()
+                raise
         return engine
 
     def _abs(self, rel: str) -> str:
@@ -213,45 +266,34 @@ class LevelledStore(Store):
         self._fid += 1
         return fid
 
-    def _open_fresh_wmp_locked(self, lo: int,
-                               flushed: dict[WALMemtablePair, Checkpoint] | None = None) -> None:
-        """Create a new accepting pair at lo and apply the layout that adds
-        it (with flushed, when given). When that fails the new log is closed
-        and its file left for the next recovery's sweep."""
+    def _new_pair_locked(self, lo: int) -> WALMemtablePair:
+        """An accepting pair at lo over a new log, not yet in the layout."""
         path = self._abs(wal_name(self._take_fid_locked()))
-        wmp = WALMemtablePair(CommitLog(path), MapStore(), Window(lo, None))
-        try:
-            faults.fire("after-wal-write-before-manifest", path=path)
-            live, levels, _ = self._layout
-            self._apply_locked(live + (wmp,), levels, flushed)
-        except BaseException:
-            wmp.wal.close()
-            raise
+        return WALMemtablePair(CommitLog(path), MapStore(), Window(lo, None))
 
-    def _persist_locked(self, ck: Checkpoint, fire_point: str | None = None) -> None:
-        """Name a new checkpoint and write its file."""
+    def _persist_locked(self, ck: Checkpoint, written: list[str],
+                        fire_point: str | None = None) -> None:
+        """Name a new checkpoint, add the name to written, write the file."""
         ck.path = ckpt_name(self._take_fid_locked())
+        written.append(ck.path)
         ck.persist(self._abs(ck.path), fire_point=fire_point)
 
-    def _set_layout_locked(self, live: tuple[WALMemtablePair, ...],
-                           levels: tuple[tuple[Checkpoint, ...], ...]) -> None:
+    def _set_layout_locked(self, live: tuple[WALMemtablePair, ...], levels: Levels) -> None:
         self._horizon = max((ck.window.hi for row in levels for ck in row), default=0)
         starts = ((),) + tuple(tuple(ck.key_range[0] for ck in row) for row in levels[1:])
         self._layout = (live, levels, starts)
 
-    def _apply_locked(self, live: tuple[WALMemtablePair, ...],
-                      levels: tuple[tuple[Checkpoint, ...], ...],
-                      flushed: dict[WALMemtablePair, Checkpoint] | None = None) -> None:
-        """Make (live, levels) the layout, with flushed as the built
-        checkpoints of its flushed pairs (by default, those the pairs it
-        keeps hold now). The difference from the current layout is logged as
-        one durable MANIFEST batch, if there is one, before the layout in
-        memory changes; then every log and file the new layout no longer
-        names is closed and unlinked (a failed unlink leaves an orphan that
-        the next recovery deletes)."""
+    def _apply_locked(self, live: tuple[WALMemtablePair, ...], levels: Levels,
+                      flushed: dict[WALMemtablePair, Checkpoint],
+                      written: list[str] = ()) -> None:
+        """Make (live, levels) the layout, with flushed holding the built
+        checkpoints of its sealed pairs. The difference from the current
+        layout is logged as one durable MANIFEST batch, if there is one,
+        before the layout in memory changes; then every log and file that the
+        old layout or written names and the new one does not is closed and
+        unlinked."""
         old_live, old_levels, _ = self._layout
         old = _named(old_live, old_levels, self._flushed)
-        flushed = self._flushed if flushed is None else flushed
         flushed = {w: flushed[w] for w in live if w in flushed}
         new = _named(live, levels, flushed)
         edits = _layout_edits(old, new)
@@ -259,17 +301,13 @@ class LevelledStore(Store):
             self._manifest.append(max(self._last_ct, 0), edits)
         self._flushed = flushed
         self._set_layout_locked(live, levels)
-        self._compaction_due = True
         kept = {name for _, name in new}
         logs = {_log_name(w): w for w in old_live}
-        for _, name in old:
+        for name in [name for _, name in old] + list(written):
             if name not in kept:
                 if name in logs:
                     logs[name].wal.close()
-                try:
-                    os.remove(self._abs(name))
-                except OSError:
-                    pass
+                _unlink(self._abs(name))
 
     # -- Store protocol -------------------------------------------------------
 
@@ -280,24 +318,24 @@ class LevelledStore(Store):
                 self._rotation_cond.wait()
             if txn.txn_id in self._pins:
                 raise TransactionError(f"duplicate begin for txn {txn.txn_id!r}")
-            wmp = self._layout[0][-1]
-            window = wmp.window
-            if window.hi is not None:  # a rotation failed after the seal
-                raise StoreError("begin on a sealed pair")
             # group-aligned windows: every version in a window must carry a
             # snapshot that covers all prior windows, else the per-window fold
-            # would lose effects concurrent across the boundary
-            if txn.st < window.lo - 1:
+            # would lose effects concurrent across the boundary; and no read
+            # below the horizon can be answered. Once pinned, the gate keeps
+            # the horizon at or below the snapshot.
+            lo = self._layout[0][-1].window.lo
+            if txn.st < lo - 1 or txn.st < self._horizon:
                 raise StaleSnapshotError(
-                    f"snapshot {txn.st} predates accepting window [{window.lo}, ...)")
-            self._pins[txn.txn_id] = wmp
-            self._active_sts[txn.txn_id] = txn.st
+                    f"snapshot {txn.st} predates accepting window [{lo}, ...) "
+                    f"or compaction horizon {self._horizon}")
+            self._pins[txn.txn_id] = txn.st
 
     def _pinned(self, txn: TransactionDescriptor) -> WALMemtablePair:
-        wmp = self._pins.get(txn.txn_id)
-        if wmp is None:
+        """The accepting pair, which holds every pin; raises when txn holds
+        none."""
+        if txn.txn_id not in self._pins:
             raise TransactionError(f"txn {txn.txn_id!r} not active in this engine")
-        return wmp
+        return self._layout[0][-1]
 
     def do_update(self, txn: TransactionDescriptor, key: str, effect: Effect) -> None:
         # the effect rides in the descriptor's buffer until commit, and a pin
@@ -311,29 +349,24 @@ class LevelledStore(Store):
         except Exception:
             self._release(txn.txn_id)
             raise
-        with self._mutex:
-            if txn.ct > self._last_ct:
-                self._last_ct = txn.ct
-        self._release(txn.txn_id)
-        self._maybe_compact()
+        self._release(txn.txn_id, txn.ct)
 
     def do_abort(self, txn: TransactionDescriptor) -> None:
         self._pinned(txn)
         self._release(txn.txn_id)
 
-    def _release(self, txn_id: str) -> None:
+    def _release(self, txn_id: str, ct: int | None = None) -> None:
+        """Unpin; after a commit at ct, or at the last unpin while a rotation
+        waits for it, run _maybe_compact, whose failure the txn never sees."""
         with self._rotation_cond:
-            wmp = self._pins.pop(txn_id, None)
-            self._active_sts.pop(txn_id, None)
+            self._pins.pop(txn_id, None)
             if self._gate_blocked:  # retry what the gate held back
                 self._gate_blocked = False
                 self._compaction_due = True
-            if (self._rotation_pending and wmp is self._layout[0][-1]
-                    and not self._pin_count_locked(wmp)):
-                self._rotate_locked()
-
-    def _pin_count_locked(self, wmp: WALMemtablePair) -> int:
-        return sum(1 for w in self._pins.values() if w is wmp)
+            if ct is not None:
+                self._last_ct = max(self._last_ct, ct)
+            if ct is not None or (self._rotation_pending and not self._pins):
+                self._maybe_compact()
 
     @property
     def horizon(self) -> int:
@@ -405,145 +438,104 @@ class LevelledStore(Store):
     def probe_total(self) -> int:
         return sum(self.probes.values())
 
-    # -- rotation and compaction ---------------------------------------------
+    # -- compaction passes -----------------------------------------------------
 
     def _maybe_compact(self) -> None:
+        """Run a pass when the accepting pair is full (while a txn is pinned,
+        its rotation waits for the last unpin) or work is due. A failed pass
+        raises nothing here: the next commit runs it again."""
         with self._mutex:
-            tail = self._layout[0][-1]
-            if (tail.committed_effects >= self.config.wmp_rotate_effects
-                    and not self._rotation_pending and not tail.sealed):
-                if self._pin_count_locked(tail) == 0:
-                    self._rotate_locked()
-                else:
-                    self._rotation_pending = True  # last unpin completes it
-            if self._compaction_due:
-                self._compact_live_locked(force=False)
-                self._compact_levels_locked(force=False)
-                self._compaction_due = False  # a scan runs until nothing more is due
+            full = self._layout[0][-1].committed_effects >= self.config.wmp_rotate_effects
+            if full and self._pins:
+                self._rotation_pending = True
+                full = False
+            if full or self._compaction_due:
+                try:
+                    self._compact_locked(force=False)
+                except (OSError, StoreError):
+                    pass
 
     def compact(self, force: bool = False) -> None:
-        """Run the capacity loop now; force treats every threshold as zero
-        (seal the accepting pair if it can be sealed, push everything down)."""
+        """Run a pass now, raising what it raises; force treats every
+        threshold as zero (rotate the accepting pair if it holds a commit
+        and no pin, swap in every sealed pair, push everything down)."""
         with self._mutex:
-            if force and not self._rotation_pending:
-                tail = self._layout[0][-1]
-                if (not tail.sealed and tail.committed_effects > 0
-                        and self._pin_count_locked(tail) == 0):
-                    self._rotate_locked()
-            self._compact_live_locked(force)
-            self._compact_levels_locked(force)
-
-    def _rotate_locked(self) -> None:
-        """Seal the accepting pair and flush it: persist its level-0
-        checkpoint, then apply one batch that adds the checkpoint, removes
-        the sealed log and adds the next pair's log. No pin is left on the
-        sealed pair, so every commit in its window has landed. It stays
-        live, its memtable serving reads, until _compact_live_locked swaps
-        the checkpoint in."""
-        tail = self._layout[0][-1]
-        try:
-            if tail.sealed or tail.committed_effects == 0:
-                self._rotation_pending = False
-                return
-            window = tail.seal()
-            self._rotation_pending = False
-            self.stats["rotations"] += 1
-            ck = make_checkpoint(tail, window)
-            if len(ck):
-                self._persist_locked(ck, fire_point="during-checkpoint-serialize")
-            self._open_fresh_wmp_locked(window.hi, {**self._flushed, tail: ck})
-        finally:
-            self._rotation_cond.notify_all()
+            self._compact_locked(force)
 
     def _gate_locked(self, hi: int) -> bool:
         """Only history below every active snapshot may be consolidated."""
-        min_st = min(self._active_sts.values(), default=None)
+        min_st = min(self._pins.values(), default=None)
         if min_st is None or hi <= min_st:
             return True
         self._gate_blocked = True
         return False
 
-    def _compact_live_locked(self, force: bool) -> None:
-        keep = 1 if force else self.config.live_capacity
-        while len(self._layout[0]) > keep:
-            oldest = self._layout[0][0]
-            if oldest not in self._flushed:  # the accepting pair
-                break
-            if not self._gate_locked(oldest.window.hi):
-                break
-            self._swap_in_locked(oldest)
-
-    def _swap_in_locked(self, wmp: WALMemtablePair) -> None:
-        """Replace the oldest live pair by the level-0 checkpoint its
-        rotation built (by nothing when it holds no keys). The MANIFEST
-        names that checkpoint already, so no batch and no file is written."""
-        ck = self._flushed[wmp]
+    def _compact_locked(self, force: bool) -> None:
+        """One pass: build the final layout from the current one, persist
+        its checkpoints that have no file, and apply it once. In order: a
+        rotation when the accepting pair is full (under force, holds a
+        commit) and no txn is pinned; the swaps of sealed pairs into level 0
+        down to the live capacity (1 under force); on each level, the merge
+        of its excess over capacity (0 under force) into the next. The gate
+        can hold a swap or a merge back. When a step raises, nothing in
+        memory changes; after an OSError or StoreError the pass's files are
+        unlinked and the error kept, while a crash leaves them to recovery's
+        sweep. Stats count a pass once it succeeds."""
         live, levels, _ = self._layout
-        if len(ck):
-            levels = (levels[0] + (ck,),) + levels[1:]
-        self._apply_locked(live[1:], levels)
-        self.stats["live_checkpoints"] += 1
-
-    def _compact_levels_locked(self, force: bool) -> None:
-        for level in range(self.config.max_levels - 1):
-            row = self._layout[1][level]
-            cap = 0 if force else self.config.capacity(level)
-            excess = len(row) - cap
-            if excess <= 0:
-                continue
-            # L0's oldest, whose ranges overlap; below it, the lowest ranges
-            sources = row[:excess]
-            if not all(self._gate_locked(s.window.hi) for s in sources):
-                continue
-            self._merge_down_locked(level, sources)
-
-    def _merge_down_locked(self, level: int, sources: tuple[Checkpoint, ...]) -> None:
-        """Merge a level's first checkpoints (oldest first) into level+1, a
-        run of checkpoints sorted by key range with disjoint ranges.
-
-        The targets a source overlaps are found by bisect on the range
-        starts. A source that overlaps none moves down whole: the same
-        checkpoint and file, recorded at level+1. Otherwise the source is cut
-        at the overlapping targets' starts, and each target folds in its
-        piece (keys below the first target or above the last join it, so
-        ranges stay disjoint); a result that outgrows twice the rotation size
-        is split. Only those targets are rewritten, and nothing is persisted
-        until the whole pass is built: the old layout stays intact until the
-        manifest batch is durable.
-        """
-        live, levels, _ = self._layout
-        row = list(levels[level + 1])
-        limit = 2 * self.config.wmp_rotate_effects
-        for src in sources:
-            lo, hi = src.key_range
-            starts = [ck.key_range[0] for ck in row]
-            a = bisect_right(starts, lo) - 1
-            if a < 0 or row[a].key_range[1] < lo:
-                a += 1
-            b = bisect_right(starts, hi)
-            if a == b:
-                row.insert(a, src)
-                continue
-            out: list[Checkpoint] = []
-            for target, piece in zip(row[a:b], src.cut(starts[a + 1:b])):
-                if not len(piece):
-                    out.append(target)
-                    continue
-                merged = target.fold(piece, Window(min(target.window.lo, src.window.lo),
-                                                   max(target.window.hi, src.window.hi)))
-                if len(merged) > limit:
-                    out += merged.chunks(self.config.wmp_rotate_effects)
-                else:
-                    out.append(merged)
-            row[a:b] = out
-        self.stats["level_merges"] += 1
-        for ck in row:
-            if ck.path is None:
-                self._persist_locked(ck)
-        rows = list(levels)
-        rows[level] = levels[level][len(sources):]
-        rows[level + 1] = tuple(row)
-        self._apply_locked(live, tuple(rows))
+        flushed = self._flushed
+        tail = live[-1]
+        rotate = not self._pins and tail.committed_effects >= (
+            1 if force else self.config.wmp_rotate_effects)
+        fid, written = self._fid, []
+        new = None
+        swaps = merges = 0
+        try:
+            if rotate:
+                # every commit in the window has landed: none is pinned
+                ck = make_checkpoint(tail, tail.seal())
+                self._persist_locked(ck, written, fire_point="during-checkpoint-serialize")
+                new = self._new_pair_locked(ck.window.hi)
+                written.append(_log_name(new))
+                faults.fire("after-wal-write-before-manifest", path=new.wal.path)
+                live += (new,)
+                flushed = {**flushed, tail: ck}
+            keep = 1 if force else self.config.live_capacity
+            while (len(live) > keep and live[0] in flushed
+                   and self._gate_locked(live[0].window.hi)):
+                levels = (levels[0] + (flushed[live[0]],),) + levels[1:]
+                live = live[1:]
+                swaps += 1
+            for level in range(self.config.max_levels - 1):
+                # L0's oldest, whose ranges overlap; below it, the lowest ranges
+                excess = len(levels[level]) - (0 if force else self.config.capacity(level))
+                if excess > 0 and all(self._gate_locked(ck.window.hi)
+                                      for ck in levels[level][:excess]):
+                    levels = merge_down(levels, level, excess, self.config.wmp_rotate_effects)
+                    merges += 1
+            for ck in [ck for row in levels for ck in row if ck.path is None]:
+                self._persist_locked(ck, written)
+            self._apply_locked(live, levels, flushed, written)
+        except BaseException as exc:
+            self._fid = fid
+            if new is not None:
+                new.wal.close()
+            if rotate:
+                tail.unseal()
+            if isinstance(exc, (OSError, StoreError)):
+                for name in written:
+                    _unlink(self._abs(name))
+                self.compaction_error = exc
+                self.stats["failed_passes"] += 1
+            raise
+        finally:
+            if rotate:
+                self._rotation_pending = False
+                self._rotation_cond.notify_all()
+        self._compaction_due = False
+        self.compaction_error = None
+        self.stats["rotations"] += rotate
+        self.stats["live_checkpoints"] += swaps
+        self.stats["level_merges"] += merges
 
     # -- introspection ---------------------------------------------------------
 
@@ -720,10 +712,7 @@ def recover_engine(directory: str, config: EngineConfig | None = None
         kept = {name for _, name in new}
         for name in os.listdir(directory):
             if name.startswith(("wal-", "ckpt-")) and name not in kept:
-                try:
-                    os.remove(os.path.join(directory, name))
-                except OSError:
-                    pass
+                _unlink(os.path.join(directory, name))
 
         engine = LevelledStore(directory, config, manifest, live=[pair], levels=levels,
                                last_ct=highest, fid=fid)

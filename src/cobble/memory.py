@@ -293,6 +293,11 @@ class MapStore(TxnLifecycleMixin, Store):
             self._sealed = True
             self.window = window
 
+    def unseal(self) -> None:
+        with self._lock:
+            self._sealed = False
+            self.window = None
+
     @property
     def sealed(self) -> bool:
         return self._sealed

@@ -21,6 +21,7 @@ from cobble.engine import (
     LevelledStore,
     ManifestAction,
     ManifestEntry,
+    merge_down,
     open_engine,
     recover_engine,
     replay_manifest,
@@ -37,7 +38,7 @@ from cobble.store import (
     Window,
     WindowError,
 )
-from cobble.transactions import TransactionManager
+from cobble.transactions import CommitResult, TransactionManager
 
 
 def small_config(**kw) -> EngineConfig:
@@ -192,24 +193,35 @@ class TestLookupPath:
         engine.close()
 
     def test_stale_snapshot_begin_rejected(self, tmp_path):
-        engine = LevelledStore.create(str(tmp_path / "db"), small_config())
-        run_txn(engine, "a", 0, 5, [("k", Effect.assign(2))])
-        engine.compact(force=True)  # live window now starts at 6
-        assert engine.layout()["live"][0][1][0] == 6
+        engine = LevelledStore.create(str(tmp_path / "db"), small_config(wmp_rotate_effects=1))
+        run_txn(engine, "a", 0, 5, [("k", Effect.assign(2))])  # rotates; [0, 6) stays live
+        assert [w for _, w in engine.layout()["live"]] == [(0, 6), (6, None)]
+        assert engine.horizon == 0
         with pytest.raises(StaleSnapshotError):
-            engine.do_begin(TransactionDescriptor("late", st=3))
-        # st = lo - 1 is the earliest begin the new window accepts
-        ok = TransactionDescriptor("edge", st=5)
+            engine.do_begin(TransactionDescriptor("late", st=4))
+        # st = lo - 1 is the earliest begin the new window accepts, and the
+        # sealed pair answers its reads
+        edge = TransactionDescriptor("edge", st=5)
+        engine.do_begin(edge)
+        assert engine.lookup("k", edge.st) is None
+        engine.do_abort(edge)
+        engine.compact(force=True)  # swaps [0, 6) in: the horizon is 6
+        assert engine.layout()["live"][0][1][0] == engine.horizon == 6
+        # lo - 1, but below the horizon, where no read can be answered
+        with pytest.raises(StaleSnapshotError, match="horizon 6"):
+            engine.do_begin(TransactionDescriptor("below", st=5))
+        assert engine._pins == {}
+        ok = TransactionDescriptor("ok", st=6)
         engine.do_begin(ok)
+        assert effect_at(engine, "k", ok.st) == (2, 0)
         engine.do_abort(ok)
         engine.close()
-
 
     def test_key_checked_once_per_lookup(self, tmp_path, monkeypatch):
         d = str(tmp_path / "db")
         trace = build_engine_dir(d, compact_every=12)
         engine, _ = recover_engine(d, small_config())
-        run_txn(engine, "late", engine.last_committed_ct, engine.last_committed_ct + 1,
+        run_txn(engine, "late", engine.last_committed_ct + 1, engine.last_committed_ct + 1,
                 [(k, Effect.incr(1)) for k in trace.keys()])
         calls = []
         real = cobble.engine.check_key
@@ -338,39 +350,54 @@ class TestPins:
         assert effect_at(engine, "k", 5) == (1, 0)
         engine.close()
 
-    def test_begin_after_a_failed_rotation_is_refused(self, tmp_path):
+    def test_begin_after_a_failed_rotation_lands_in_the_same_pair(self, tmp_path):
         engine = LevelledStore.create(str(tmp_path / "db"), small_config(wmp_rotate_effects=1))
         faults.install_plan(FaultPlan().arm("after-wal-write-before-manifest", FailFlush()))
-        with pytest.raises(OSError):  # the commit is durable; its rotation fails
-            run_txn(engine, "a", 0, 0, [("k", Effect.assign(1))])
-        assert engine.layout()["live"] == [("wal-0.log", (0, 1))]
-        with pytest.raises(StoreError, match="sealed"):
-            engine.do_begin(TransactionDescriptor("b", st=1))
+        run_txn(engine, "a", 0, 0, [("k", Effect.assign(1))])  # its rotation fails
+        assert isinstance(engine.compaction_error, OSError)
+        assert engine.stats["failed_passes"] == 1 and engine.stats["rotations"] == 0
+        assert engine.layout()["live"] == [("wal-0.log", (0, None))]
         assert engine._pins == {}
+        run_txn(engine, "b", 1, 1, [("k", Effect.incr(2))])  # the pair is still accepting
+        assert engine.compaction_error is None and engine.stats["rotations"] == 1
+        assert engine.layout()["live"] == [("wal-0.log", (0, 2)), ("wal-2.log", (2, None))]
         assert effect_at(engine, "k", 1) == (1, 0)
+        assert effect_at(engine, "k", 2) == (1, 2)
         engine.close()
 
-    def test_a_failed_rotation_releases_the_commits_lease(self, tmp_path):
+    def test_a_failed_rotation_releases_the_commits_lease(self, tmp_path, monkeypatch):
+        """The commit whose rotation fails is reported committed, its ct
+        lease is released, and the next commit completes the rotation."""
+        opened = recording_logs(monkeypatch)
         d = str(tmp_path / "db")
         cfg = small_config(wmp_rotate_effects=1)
-        manager = TransactionManager(LevelledStore.create(d, cfg))
+        engine = LevelledStore.create(d, cfg)
+        manager = TransactionManager(engine)
         coord = manager.begin_txn()
         coord.assign("k", 1)
         assert coord.commit().ct == 0
+        before = engine.layout(), set(os.listdir(d))
         faults.install_plan(FaultPlan().arm("after-wal-write-before-manifest", FailFlush()))
         coord = manager.begin_txn()
         coord.incr("k", 2)
-        with pytest.raises(OSError):  # ct 1 is durable; the rotation after it fails
-            coord.commit()
+        assert coord.commit() == CommitResult(True, 1)  # durable; its rotation failed
+        assert engine.stats["failed_passes"] == 1 and engine.compaction_error is not None
+        assert {**engine.layout(), "last_ct": 0} == before[0]
+        assert set(os.listdir(d)) == before[1]
+        assert opened[-1]._f.closed and not os.path.exists(opened[-1].path)
         assert manager.gen.peek_snapshot() == 2
         assert manager.read_at("k", 2) == 3
-        with pytest.raises(StoreError, match="sealed"):
-            manager.begin_txn()
-        manager.store.close()
+        coord = manager.begin_txn()  # lands in the pair the rotation left open
+        assert engine.layout()["live"][-1] == before[0]["live"][-1]
+        coord.incr("k", 4)
+        assert coord.commit() == CommitResult(True, 2)  # and completes its rotation
+        assert engine.compaction_error is None and engine.stats["rotations"] == 2
+        assert engine.layout()["live"][-1][1] == (3, None)
+        engine.close()
         back, floor = open_engine(d, cfg)
         manager = TransactionManager(back)
         manager.recover_floor(floor)
-        assert floor == 1 and manager.read_at("k", manager.gen.peek_snapshot()) == 3
+        assert floor == 2 and manager.read_at("k", manager.gen.peek_snapshot()) == 7
         back.close()
 
     def test_pair_and_memtable_see_no_lifecycle(self, tmp_path, monkeypatch):
@@ -545,6 +572,7 @@ class TestCompaction:
         assert engine.layout()["live"][0][1] == (0, 2)
         assert engine.lookup("k", 1).delta == 1
         engine.do_abort(reader)
+        assert engine._compaction_due  # the next commit scans again
         engine.compact(force=True)
         assert engine.stats["live_checkpoints"] == 1
         assert engine.horizon == 2
@@ -552,50 +580,50 @@ class TestCompaction:
 
     def test_idle_commits_scan_nothing(self, tmp_path, monkeypatch):
         scans = []
+        real = LevelledStore._compact_locked
 
-        def counting(name):
-            real = getattr(LevelledStore, name)
+        def scan(engine, force):
+            scans.append(force)
+            real(engine, force)
 
-            def scan(engine, force):
-                scans.append(name)
-                real(engine, force)
-            return scan
-
-        for name in ("_compact_live_locked", "_compact_levels_locked"):
-            monkeypatch.setattr(LevelledStore, name, counting(name))
+        monkeypatch.setattr(LevelledStore, "_compact_locked", scan)
         engine = LevelledStore.create(
             str(tmp_path / "db"), small_config(live_capacity=1, wmp_rotate_effects=50))
         for i in range(40):
-            run_txn(engine, f"t{i}", max(0, i - 1), i, [(f"k{i % 7}", Effect.incr(1))])
+            run_txn(engine, f"t{i}", i, i, [(f"k{i % 7}", Effect.incr(1))])
         assert scans == []  # no rotation yet: nothing can be due
         for i in range(40, 60):
-            run_txn(engine, f"t{i}", i - 1, i, [(f"k{i % 7}", Effect.incr(1))])
+            run_txn(engine, f"t{i}", i, i, [(f"k{i % 7}", Effect.incr(1))])
         assert engine.stats["rotations"] == 1 and engine.stats["live_checkpoints"] == 1
-        assert scans == ["_compact_live_locked", "_compact_levels_locked"]  # once, at the rotation
+        assert scans == [False]  # one pass, at the rotation
         engine.close()
 
     def test_work_the_gate_held_back_runs_once_the_snapshot_ends(self, tmp_path):
+        """Work that snapshots hold back, here a rotation waiting for the
+        last pin, runs when the last one ends: that unpin runs the whole
+        pass, the swap included, whether the txn ends by commit or abort."""
         for end in ("commit", "abort"):
             engine = LevelledStore.create(
                 str(tmp_path / f"db-{end}"), small_config(live_capacity=1, wmp_rotate_effects=2))
             run_txn(engine, "t0", 0, 0, [("k", Effect.incr(1))])
-            pin = TransactionDescriptor("pin", st=0)
+            pin = TransactionDescriptor("pin", st=1)
             engine.do_begin(pin)
-            run_txn(engine, "t1", 0, 1, [("k", Effect.incr(1))])  # rotation waits on the pin
-            engine.do_abort(pin)  # rotates: [0, 2) sealed, its checkpoint now due
-            reader = TransactionDescriptor("reader", st=1)  # needs history below 2
+            reader = TransactionDescriptor("reader", st=1)  # begun before the pin ends
             engine.do_begin(reader)
-            run_txn(engine, "t2", 1, 2, [("j", Effect.incr(1))])
-            assert engine.stats["live_checkpoints"] == 0  # held back by the gate
-            assert engine.layout()["live"][0][1] == (0, 2)
+            run_txn(engine, "t1", 1, 1, [("k", Effect.incr(1))])  # rotation waits on the pins
+            engine.do_abort(pin)
+            assert engine._rotation_pending and engine.stats["rotations"] == 0
             if end == "commit":
-                reader.ct = 3
+                reader.effect_buffer["j"] = Effect.incr(1)
+                reader.ct = 2
                 engine.do_commit(reader)
             else:
                 engine.do_abort(reader)
-                run_txn(engine, "t3", 2, 3, [])  # the next commit, rotating nothing
-            assert engine.stats["live_checkpoints"] == 1, end
-            assert engine.layout()["live"][0][1][0] == 2, end
+            hi = 3 if end == "commit" else 2
+            assert not engine._rotation_pending, end
+            assert engine.stats["rotations"] == engine.stats["live_checkpoints"] == 1, end
+            assert engine.layout()["live"][0][1] == (hi, None), end
+            assert engine.horizon == hi
             assert effect_at(engine, "k", 4) == (None, 2)
             engine.close()
 
@@ -604,8 +632,7 @@ class TestCompaction:
             str(tmp_path / "db"),
             small_config(max_levels=2, level_capacities=(1, 2)))
         for i in range(5):
-            run_txn(engine, f"t{i}", max(0, i - 1), i,
-                    [(f"key{i}", Effect.assign(i))])
+            run_txn(engine, f"t{i}", i, i, [(f"key{i}", Effect.assign(i))])
             engine.compact(force=True)
         layout = engine.layout()
         assert len(layout["levels"][1]) == 5  # over nominal capacity, by design
@@ -643,32 +670,39 @@ def _dict_merge(targets, sources):
     return row
 
 
-def assert_sorted_disjoint(engine):
-    """Every level >= 1 is sorted by key range with disjoint ranges, each
-    checkpoint's range is its first and last key, and the starts the lookup
-    bisects match the level."""
-    _, levels, starts = engine._layout
+def assert_rows_disjoint(levels):
+    """Every level >= 1 is sorted by key range with disjoint ranges, and
+    each checkpoint's range is its first and last key."""
     for lvl in range(1, len(levels)):
         row = levels[lvl]
         for ck in row:
             keys = list(ck)
             assert keys and ck.key_range == (keys[0], keys[-1]), (lvl, ck.path)
-        assert starts[lvl] == tuple(ck.key_range[0] for ck in row), lvl
         for left, right in zip(row, row[1:]):
             assert left.key_range[1] < right.key_range[0], (lvl, left.path, right.path)
+
+
+def assert_sorted_disjoint(engine):
+    """assert_rows_disjoint on the engine's levels, whose range starts, the
+    ones the lookup bisects, match them."""
+    _, levels, starts = engine._layout
+    assert_rows_disjoint(levels)
+    for lvl in range(1, len(levels)):
+        assert starts[lvl] == tuple(ck.key_range[0] for ck in levels[lvl]), lvl
 
 
 def checking_merges(monkeypatch) -> dict:
     """Check every level after each level merge; returns merges per level."""
     counts: dict[int, int] = {}
-    real = LevelledStore._merge_down_locked
+    real = merge_down
 
-    def merge(engine, level, sources):
-        real(engine, level, sources)
+    def merge(levels, level, count, chunk):
+        out = real(levels, level, count, chunk)
         counts[level] = counts.get(level, 0) + 1
-        assert_sorted_disjoint(engine)
+        assert_rows_disjoint(out)
+        return out
 
-    monkeypatch.setattr(LevelledStore, "_merge_down_locked", merge)
+    monkeypatch.setattr(cobble.engine, "merge_down", merge)
     return counts
 
 
@@ -682,11 +716,13 @@ class TestPackedMerge:
         return Effect.assign(v) if rng.random() < 0.4 else Effect.incr(v)
 
     def test_level_merge_matches_dict_fold(self, tmp_path):
+        """merge_down of random rows equals the merge on plain dicts, and a
+        forced pass over the same rows applies it."""
         pool = sorted(self.POOL)
         for seed in range(25):
             rng = random.Random(seed)
             d = str(tmp_path / f"db{seed}")
-            cfg = small_config(level_capacities=(1 << 30, 1 << 30, 1 << 30))
+            cfg = small_config(max_levels=2, level_capacities=(1 << 30, 1 << 30))
             engine = LevelledStore.create(d, cfg)
             targets = []
             n = rng.randint(0, 3)
@@ -705,12 +741,17 @@ class TestPackedMerge:
                     ck.path = f"ckpt-{900 + 10 * level + j}.cb"
                     ck.persist(os.path.join(d, ck.path))
                     cks[level].append(ck)
-            with engine._mutex:
-                live, levels, _ = engine._layout
-                engine._apply_locked(live, (tuple(cks[0]), tuple(cks[1])) + levels[2:])
-                engine._merge_down_locked(0, cks[0])
-
+            levels = (tuple(cks[0]), tuple(cks[1]))
             want_row = _dict_merge(targets, sources)
+            merged = merge_down(levels, 0, len(cks[0]), cfg.wmp_rotate_effects)
+            assert [(ck.entries, ck.window) for ck in merged[1]] == want_row, seed
+            assert merged[0] == ()
+            assert_rows_disjoint(merged)
+            assert all(ck.path is None for ck in merged[1] if ck not in levels[0] + levels[1])
+
+            with engine._mutex:
+                engine._apply_locked(engine._layout[0], levels, {})
+            engine.compact(force=True)
             got_row = [(ck.entries, ck.window) for ck in engine._layout[1][1]]
             assert got_row == want_row, seed
             assert engine._layout[1][0] == ()
@@ -788,18 +829,17 @@ class TestPackedMerge:
         assert all(merges.get(level) for level in range(3)), merges
 
     def test_merge_without_overlap_moves_the_source_whole(self, tmp_path, monkeypatch):
-        cfg = small_config(max_levels=2, level_capacities=(1 << 30, 1 << 30))
+        cfg = small_config(max_levels=2, live_capacity=1, wmp_rotate_effects=80,
+                           level_capacities=(1 << 30, 1 << 30))
         engine = LevelledStore.create(str(tmp_path / "db"), cfg)
-        run_txn(engine, "a", 0, 0, [(f"a{i:02d}", Effect.assign(i)) for i in range(40)])
-        run_txn(engine, "z", 0, 1, [(f"z{i:02d}", Effect.incr(i)) for i in range(40)])
+        run_txn(engine, "a", 0, 0, [(f"a{i:02d}", Effect.assign(i)) for i in range(40)]
+                + [(f"z{i:02d}", Effect.incr(i)) for i in range(40)])
         engine.compact(force=True)
         assert [len(ck) for ck in engine._layout[1][1]] == [80]
-        run_txn(engine, "m", 1, 2, [(f"m{i:02d}", Effect.assign(i)) for i in range(40)])
+        run_txn(engine, "m", 1, 1, [(f"m{i:02d}", Effect.assign(i)) for i in range(40)])
         engine.compact(force=True)  # a00..z39 now overlaps: folds in
-        run_txn(engine, "n", 2, 3, [("zz", Effect.assign(1)), ("zzz", Effect.assign(2))])
-        with engine._mutex:  # checkpoint the pair, but merge nothing yet
-            engine._rotate_locked()
-            engine._compact_live_locked(force=True)
+        # a full pair: its pass checkpoints it into level 0, but merges nothing
+        run_txn(engine, "n", 2, 2, [(f"zz{i:02d}", Effect.assign(i)) for i in range(80)])
         (source,) = engine._layout[1][0]
         with open(os.path.join(engine.directory, source.path), "rb") as f:
             source_bytes = f.read()
@@ -819,14 +859,14 @@ class TestPackedMerge:
         engine.compact(force=True)
         assert calls == {"contains": 0, "fold": 0}
         row = engine._layout[1][1]
-        assert [ck.key_range for ck in row] == [("a00", "z39"), ("zz", "zzz")]
+        assert [ck.key_range for ck in row] == [("a00", "z39"), ("zz00", "zz79")]
         assert row[1] is source  # the same checkpoint and file, now at level 1
         with open(os.path.join(engine.directory, source.path), "rb") as f:
             assert f.read() == source_bytes
         engine.close()
         back, floor = recover_engine(engine.directory, cfg)
-        assert [ck.key_range for ck in back._layout[1][1]] == [("a00", "z39"), ("zz", "zzz")]
-        assert effect_at(back, "zzz", floor + 1) == (2, 0)
+        assert [ck.key_range for ck in back._layout[1][1]] == [("a00", "z39"), ("zz00", "zz79")]
+        assert effect_at(back, "zz79", floor + 1) == (79, 0)
         assert effect_at(back, "m07", floor + 1) == (7, 0)
         back.close()
 
@@ -897,8 +937,8 @@ class TestManifest:
             assert (fid, ts) == (1, 2)
 
     def test_one_frame_per_batch(self, tmp_path, monkeypatch):
-        """Each batch is one frame, and a commit appends one batch for its
-        rotation and one per level merge it runs: none for a swap."""
+        """Each batch is one frame, and a commit appends one batch for the
+        pass it runs, however many swaps and merges ride on its rotation."""
         appended = []
         real_append = ManifestLog.append
 
@@ -910,18 +950,19 @@ class TestManifest:
         d = str(tmp_path / "db")
         engine = LevelledStore.create(d, small_config(live_capacity=2, wmp_rotate_effects=2))
         assert len(appended) == 1  # the first pair's log
+        merged = 0
         for i in range(12):
             before = len(appended), dict(engine.stats)
-            run_txn(engine, f"t{i}", i, i + 1, [(f"k{i % 3}", Effect.incr(1)),
-                                                (f"j{i % 5}", Effect.assign(i))])
-            stats = engine.stats
-            assert len(appended) - before[0] == (
-                stats["rotations"] - before[1]["rotations"]
-                + stats["level_merges"] - before[1]["level_merges"]), i
+            run_txn(engine, f"t{i}", i + 1, i + 1, [(f"k{i % 3}", Effect.incr(1)),
+                                                    (f"j{i % 5}", Effect.assign(i))])
+            moved = {k: engine.stats[k] - before[1][k]
+                     for k in ("rotations", "live_checkpoints", "level_merges")}
+            assert moved["rotations"] == 1, i
+            assert len(appended) - before[0] == 1, (i, moved)
+            merged += moved["level_merges"] > 0
         engine.close()
-        assert engine.stats["rotations"] == 12 and engine.stats["level_merges"] > 0
-        assert engine.stats["live_checkpoints"] == 11  # swaps, which logged nothing
-        assert len(appended) == 1 + 12 + engine.stats["level_merges"]
+        assert merged and engine.stats["live_checkpoints"] == 11
+        assert len(appended) == 1 + 12
         with open(os.path.join(d, "MANIFEST"), "rb") as f:
             frames, _ = codec.scan_frames(f.read())
         assert [codec.decode_batch(p) for p in frames] == appended
@@ -1308,7 +1349,7 @@ def _engine_with_live_pairs(d: str, cfg: EngineConfig, txns: int = 32) -> tuple[
     keys = [f"k{i}" for i in range(9)]
     for i in range(txns):
         a, b = rng.sample(keys, 2)
-        run_txn(engine, f"t{i}", i, i + 1, [(a, Effect.incr(rng.randrange(1, 9))),
+        run_txn(engine, f"t{i}", i + 1, i + 1, [(a, Effect.incr(rng.randrange(1, 9))),
                                             (b, Effect.assign(rng.randrange(99)))
                                             if i % 3 else (b, Effect.incr(1))])
     reads = {k: effect_at(engine, k, txns + 1) for k in keys}
@@ -1491,43 +1532,50 @@ class TestOrphans:
         assert not left & set(os.listdir(d))
 
     def test_log_of_a_failed_rotation_is_swept_on_reopen(self, tmp_path, monkeypatch):
-        """A rotation whose MANIFEST batch fails closes the log it opened;
-        that log and the checkpoint it built are swept on reopen."""
-        opened = recording_logs(monkeypatch)
-        d = str(tmp_path / "db")
-        engine = LevelledStore.create(d, self.cfg)
-        run_txn(engine, "t0", 0, 0, [("k", Effect.assign(5))])
-        before = set(os.listdir(d))
-        faults.install_plan(FaultPlan().arm("after-wal-write-before-manifest", FailFlush()))
-        with pytest.raises(OSError):
-            run_txn(engine, "t1", 0, 1, [("k", Effect.incr(1)), ("j", Effect.incr(2))])
-        faults.clear_plan()
-        new_log = opened[-1]
-        assert new_log._f.closed
-        orphans = set(os.listdir(d)) - before
-        assert sorted(n.split("-")[0] for n in orphans) == ["ckpt", "wal"]
-        assert os.path.basename(new_log.path) in orphans
-        engine.close()
-        # the reopen names its fold and its new log from the MANIFEST's
-        # counter, so it may take over an orphan's name, rewriting the file
-        _only_named_files_then_idempotent(d, self.cfg, {"k": (5, 1), "j": (None, 2)})
+        """A rotation that dies before its MANIFEST batch closes the log it
+        opened; that log and the checkpoint it built are swept on reopen. A
+        rotation that fails instead unlinks them itself."""
+        for action in (FailFlush(), CrashProcess()):
+            opened = recording_logs(monkeypatch)
+            d = str(tmp_path / f"db-{type(action).__name__}")
+            engine = LevelledStore.create(d, self.cfg)
+            run_txn(engine, "t0", 0, 0, [("k", Effect.assign(5))])
+            before = set(os.listdir(d))
+            faults.install_plan(FaultPlan().arm("after-wal-write-before-manifest", action))
+            try:
+                run_txn(engine, "t1", 0, 1, [("k", Effect.incr(1)), ("j", Effect.incr(2))])
+            except InjectedCrash:
+                assert isinstance(action, CrashProcess)
+            faults.clear_plan()
+            new_log = opened[-1]
+            assert new_log._f.closed
+            orphans = set(os.listdir(d)) - before
+            if isinstance(action, FailFlush):
+                assert orphans == set() and engine.stats["failed_passes"] == 1
+            else:
+                assert sorted(n.split("-")[0] for n in orphans) == ["ckpt", "wal"]
+                assert os.path.basename(new_log.path) in orphans
+            engine.close()
+            # the reopen names its fold and its new log from the MANIFEST's
+            # counter, so it may take over an orphan's name, rewriting the file
+            _only_named_files_then_idempotent(d, self.cfg, {"k": (5, 1), "j": (None, 2)})
 
 
 class TestFlushAtSeal:
-    """A rotation persists the sealed pair's checkpoint and logs one batch:
-    ADD it at level 0, REMOVE the sealed log, ADD the next log. The pair
-    stays live until the swap, which writes nothing."""
+    """A rotation persists the sealed pair's checkpoint, and its pass logs
+    one batch: ADD it at level 0, REMOVE the sealed log, ADD the next log.
+    The pair stays live until a swap, which changes no name."""
 
     cfg = small_config(live_capacity=3, wmp_rotate_effects=2)
 
     @staticmethod
     def _commit(engine, steps, i, updates):
-        """Commit txn i (st i - 1, ct i) through the engine and the trace."""
-        txn_id, st = f"t{i}", max(0, i - 1)
-        steps.append(Step("begin", txn_id, st=st))
+        """Commit txn i (st i, ct i) through the engine and the trace."""
+        txn_id = f"t{i}"
+        steps.append(Step("begin", txn_id, st=i))
         steps += [Step("update", txn_id, key=k, kind=kind, amount=n) for k, kind, n in updates]
         steps.append(Step("commit", txn_id, ct=i))
-        run_txn(engine, txn_id, st, i, [
+        run_txn(engine, txn_id, i, i, [
             (k, Effect.assign(n) if kind == "assign" else Effect.incr(n))
             for k, kind, n in updates])
 
@@ -1535,7 +1583,8 @@ class TestFlushAtSeal:
     def _updates(i):
         return [("k", "incr", i + 1)] if i % 2 == 0 else [(f"j{i % 3}", "assign", i)]
 
-    def _reads(self, steps):
+    @staticmethod
+    def _reads(steps):
         trace = Trace(list(steps))
         return {k: valuation_effect(trace, k, trace.max_ct() + 1) for k in trace.keys()}
 
@@ -1560,47 +1609,52 @@ class TestFlushAtSeal:
         assert engine.horizon == 0
         assert effect_at(engine, "j1", 1) is None
         assert effect_at(engine, "j1", 2) == (1, 0)
-        files = _files(d)
         engine.compact()  # within capacity: nothing to swap
         assert engine.stats["live_checkpoints"] == 0
-        with engine._mutex:  # swap the sealed pair, but merge nothing
-            engine._compact_live_locked(force=True)
-        assert engine.stats["live_checkpoints"] == 1
-        assert [w for _, w in engine.layout()["live"]] == [(2, None)]
+        for i in range(2, 6):  # the third rotation's pass swaps [0, 2) in
+            self._commit(engine, steps, i, self._updates(i))
+        assert engine.stats["rotations"] == 3 and engine.stats["live_checkpoints"] == 1
+        # the pass's one batch holds the rotation's names and nothing for the swap
+        (_, entries), = ManifestLog.scan(mpath)[0][-1:]
+        assert [(e.action, e.level, e.path) for e in entries] == [
+            (ManifestAction.REMOVE, -1, "wal-4.log"),
+            (ManifestAction.ADD, 0, "ckpt-5.cb"),
+            (ManifestAction.ADD, -1, "wal-6.log")]
+        assert [w for _, w in engine.layout()["live"]] == [(2, 4), (4, 6), (6, None)]
         assert [p for p, _, _ in engine.layout()["levels"][0]] == ["ckpt-1.cb"]
         assert engine.horizon == 2
-        assert _files(d) == files  # the swap wrote no batch and no file
-        for i in range(2, 9):
+        for i in range(6, 9):
             self._commit(engine, steps, i, self._updates(i))
             wals = [n for n in os.listdir(d) if n.startswith("wal-")]
             assert wals == [engine.layout()["live"][-1][0]], i
         engine.close()
         _only_named_files_then_idempotent(d, self.cfg, self._reads(steps))
 
-    def _crash_in_rotation(self, d, point, action):
+    def _crash_in_rotation(self, d, point):
         engine = LevelledStore.create(d, self.cfg)
         steps = []
         for i in range(4):
             self._commit(engine, steps, i, self._updates(i))
         assert engine.stats["rotations"] == 2
-        faults.install_plan(FaultPlan().arm(point, action))
-        with pytest.raises((InjectedCrash, OSError)):  # the commit is durable
+        live = engine.layout()["live"]
+        faults.install_plan(FaultPlan().arm(point, CrashProcess()))
+        with pytest.raises(InjectedCrash):  # the commit is durable
             self._commit(engine, steps, 4, self._updates(4) + [("x", "assign", 7)])
         faults.clear_plan()
-        assert engine.stats["rotations"] == 3
+        # the pass changed nothing in memory
+        assert engine.stats["rotations"] == 2 and engine.layout()["live"] == live
         return engine, steps
 
     def test_crash_during_checkpoint_serialize(self, tmp_path):
         d = str(tmp_path / "db")
-        engine, steps = self._crash_in_rotation(d, "during-checkpoint-serialize", CrashProcess())
+        engine, steps = self._crash_in_rotation(d, "during-checkpoint-serialize")
         assert len([n for n in os.listdir(d) if n.startswith("ckpt-")]) == 3  # one torn
         engine.close()
         _only_named_files_then_idempotent(d, self.cfg, self._reads(steps))
 
     def test_crash_before_the_rotation_batch(self, tmp_path):
         d = str(tmp_path / "db")
-        engine, steps = self._crash_in_rotation(
-            d, "after-wal-write-before-manifest", CrashProcess())
+        engine, steps = self._crash_in_rotation(d, "after-wal-write-before-manifest")
         assert len([n for n in os.listdir(d) if n.startswith("wal-")]) == 2
         engine.close()
         _only_named_files_then_idempotent(d, self.cfg, self._reads(steps))
@@ -1630,6 +1684,90 @@ class TestFlushAtSeal:
         engine.close()
         _only_named_files_then_idempotent(d, self.cfg, self._reads(steps))
         assert sealed not in os.listdir(d)
+
+
+class TestFailedPass:
+    """A pass that fails changes nothing: the layout, the horizon and the
+    named files stay as they were, a log it opened is closed and every file
+    it wrote is gone. The commit that ran it reports its own outcome, and
+    the next commit runs the pass again."""
+
+    cfg = small_config(live_capacity=1, wmp_rotate_effects=2, level_capacities=(1, 2, 1 << 30))
+
+    @staticmethod
+    def _updates(i):
+        return [("k", "incr", i + 1), (f"j{i % 3}", "assign", i)]
+
+    @staticmethod
+    def _failing_merge_persist(monkeypatch):
+        real = Checkpoint.persist
+
+        def persist(ck, path, fire_point=None):
+            if fire_point is None:  # a merge's output, not a rotation's
+                raise OSError("injected merge persist failure")
+            real(ck, path, fire_point)
+        monkeypatch.setattr(Checkpoint, "persist", persist)
+
+    @pytest.mark.parametrize("where", ["during-checkpoint-serialize",
+                                       "after-wal-write-before-manifest",
+                                       "merge-persist", "manifest-append"])
+    def test_a_failed_pass_changes_nothing(self, tmp_path, monkeypatch, where):
+        opened = recording_logs(monkeypatch)
+        d = str(tmp_path / "db")
+        engine = LevelledStore.create(d, self.cfg)
+        steps = []
+        for i in range(4):  # from the third, each pass rotates, swaps and merges
+            TestFlushAtSeal._commit(engine, steps, i, self._updates(i))
+        stats = dict(engine.stats)
+        assert stats["level_merges"] == 3
+        layout, files, n_logs = engine.layout(), _files(d), len(opened)
+        tail = layout["live"][-1][0]
+        with monkeypatch.context() as m:
+            if where == "merge-persist":
+                self._failing_merge_persist(m)
+            elif where == "manifest-append":  # the commit's own fsync, then the batch's
+                faults.install_plan(FaultPlan().arm("before-flush", faults.Noop())
+                                    .arm("before-flush", FailFlush()))
+            else:
+                faults.install_plan(FaultPlan().arm(where, FailFlush()))
+            TestFlushAtSeal._commit(engine, steps, 4, self._updates(4))  # committed
+            faults.clear_plan()
+        assert isinstance(engine.compaction_error, (OSError, StoreError))
+        assert engine.stats == {**stats, "failed_passes": 1}
+        assert {**engine.layout(), "last_ct": 3} == layout
+        assert engine.horizon == layout["horizon"]
+        now = _files(d)
+        assert now.pop(tail).startswith(files.pop(tail))  # plus the commit's frame
+        assert now == files
+        assert all(log._f.closed and not os.path.exists(log.path)
+                   for log in opened[n_logs:])
+        TestFlushAtSeal._commit(engine, steps, 5, self._updates(5))
+        if where != "manifest-append":  # a failed MANIFEST stays failed until a reopen
+            assert engine.compaction_error is None
+            assert engine.stats["rotations"] == stats["rotations"] + 1
+            assert engine.stats["level_merges"] == stats["level_merges"] + 1
+            check_against_oracle(engine, Trace(list(steps)))
+        engine.close()
+        _only_named_files_then_idempotent(d, self.cfg, TestFlushAtSeal._reads(steps))
+
+    def test_compact_raises_what_its_pass_raises(self, tmp_path):
+        engine = LevelledStore.create(str(tmp_path / "db"), self.cfg)
+        run_txn(engine, "a", 0, 0, [("k", Effect.assign(1))])
+        layout = engine.layout()
+        faults.install_plan(FaultPlan().arm("during-checkpoint-serialize", FailFlush()))
+        with pytest.raises(OSError):
+            engine.compact(force=True)
+        faults.clear_plan()
+        assert engine.layout() == layout and engine.stats["failed_passes"] == 1
+        faults.install_plan(FaultPlan().arm("during-checkpoint-serialize", CrashProcess()))
+        with pytest.raises(InjectedCrash):
+            engine.compact(force=True)
+        faults.clear_plan()
+        assert engine.layout() == layout and engine.stats["failed_passes"] == 1
+        engine.compact(force=True)
+        assert engine.compaction_error is None and engine.stats["rotations"] == 1
+        assert effect_at(engine, "k", 1) == (1, 0)
+        engine.close()
 
 
 class TestLiveThreaded:

@@ -6,9 +6,10 @@ random sequence over TransactionManager on the engine: begin (up to three
 transactions open at once, some at the snapshot from before the last commit
 finished, as a begin racing that commit would hold), read, assign, incr,
 commit, abort, read_at at an
-old snapshot, compact (forced or not), a clean reopen, and a crash at a
+old snapshot, compact (forced or not), a clean reopen, a crash at a
 faults.FAULT_POINTS entry followed by a reopen (which may itself crash once
-at a recovery step). The model is the set of acknowledged commits: every
+at a recovery step), and an I/O failure inside a compaction pass, after
+which the run goes on with no reopen and every read is checked at once. The model is the set of acknowledged commits: every
 read must equal cobble.oracle's valuation of it, and under si every commit
 must succeed or fail as first-committer-wins says. A reopen drops the open
 transactions and keeps every acknowledged commit; a commit in flight when
@@ -28,7 +29,7 @@ from collections import Counter
 
 from cobble import faults
 from cobble.engine import EngineConfig, open_engine
-from cobble.faults import CrashProcess, FaultPlan, InjectedCrash, Noop
+from cobble.faults import CrashProcess, FailFlush, FaultPlan, InjectedCrash, Noop
 from cobble.oracle import Trace, valuation
 from cobble.store import StaleSnapshotError, TransactionDescriptor
 from cobble.transactions import TransactionCoordinator, TransactionManager
@@ -38,6 +39,8 @@ I64_MIN, I64_MAX = -(1 << 63), (1 << 63) - 1
 MAX_OPEN = 3
 STEPS = 1500
 TIER1_SEEDS = range(20)
+# the points inside a rotation where an I/O error fails the pass
+PASS_POINTS = ("during-checkpoint-serialize", "after-wal-write-before-manifest")
 
 
 def _wrap(x: int) -> int:
@@ -79,7 +82,9 @@ class ModelRun:
         self.last_ct: int | None = None  # of the last commit since the last reopen
         self.open: dict[str, tuple] = {}  # txn id -> (coordinator, its updates)
         self.counts: Counter = Counter()
-        self.armed: str | None = None  # the fault point a crash is armed at
+        self.armed: str | None = None  # the fault point a crash or failure is armed at
+        # failed passes the engine counted when a failure was armed, or None
+        self.failing: int | None = None
         self.engine, floor = open_engine(directory, self.cfg)
         assert floor is None
         self.manager = TransactionManager(self.engine, isolation=self.isolation)
@@ -111,8 +116,7 @@ class ModelRun:
     def begin(self) -> None:
         manager = self.manager
         snap = manager.gen.peek_snapshot()
-        if (self.last_ct == snap - 1 and self.engine.horizon <= snap - 1
-                and self.rng.random() < 0.3):
+        if self.last_ct == snap - 1 and self.rng.random() < 0.3:
             # the snapshot drawn just before the last commit finished, as a
             # begin racing that commit in another thread would hold (below
             # the horizon the engine refuses it, and the manager redraws)
@@ -183,6 +187,8 @@ class ModelRun:
             self.engine.compact(force=self.rng.random() < 0.5)
         except InjectedCrash:
             self.crashed(None)
+        except OSError:
+            assert self.failing is not None, self.where("compact raised")
 
     def arm_crash(self) -> None:
         point = self.rng.choice(faults.FAULT_POINTS)
@@ -191,6 +197,23 @@ class ModelRun:
             plan.arm(point, Noop())
         faults.install_plan(plan.arm(point, CrashProcess()))
         self.armed = point
+
+    def arm_failed_pass(self) -> None:
+        """Fail the next rotation or the one after with an I/O error; the
+        pass changes nothing, and the commit that ran it still commits."""
+        point = self.rng.choice(PASS_POINTS)
+        plan = FaultPlan()
+        if self.rng.random() < 0.5:
+            plan.arm(point, Noop())
+        faults.install_plan(plan.arm(point, FailFlush()))
+        self.armed = point
+        self.failing = self.engine.stats["failed_passes"]
+
+    def _after_failed_pass(self) -> None:
+        faults.clear_plan()
+        self.armed = self.failing = None
+        self.counts["failed_passes"] += 1
+        self._check_all()
 
     # -- reopen --------------------------------------------------------------------
 
@@ -202,7 +225,7 @@ class ModelRun:
         """Close (a process death leaves nothing unwritten: every log is
         unbuffered), maybe crash once inside recovery, then recover."""
         faults.clear_plan()
-        self.armed = None
+        self.armed = self.failing = None
         self.counts.update({k: self.engine.stats[k] for k in (
             "rotations", "live_checkpoints", "level_merges")})
         self.engine.close()
@@ -246,7 +269,7 @@ class ModelRun:
         for _ in range(steps):
             ops = [(self.read_at, 0.15), (self.compact, 0.05), (self.reopen, 0.006)]
             if self.armed is None:
-                ops.append((self.arm_crash, 0.01))
+                ops += [(self.arm_crash, 0.01), (self.arm_failed_pass, 0.005)]
             # a begin waits out a pending rotation, which waits for the
             # transactions pinned to the accepting pair: here they belong to
             # the same thread, so a begin would wait forever
@@ -258,6 +281,8 @@ class ModelRun:
                         (lambda: self.commit(txn_id), 0.12), (lambda: self.abort(txn_id), 0.03)]
             op, = rng.choices([op for op, _ in ops], [w for _, w in ops])
             op()
+            if self.failing is not None and self.engine.stats["failed_passes"] > self.failing:
+                self._after_failed_pass()
         self.reopen()
         self.engine.close()
         return self.counts
@@ -281,6 +306,7 @@ def test_random_api_sequences_match_the_oracle(tmp_path):
         total += counts
     assert total["crashes"] >= len(TIER1_SEEDS) and total["recovery_crashes"] > 0, total
     assert total["conflicts"] and total["lagging"] and total["level_merges"], total
+    assert total["failed_passes"] > 0, total
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 recovery."""
 
 import os
+import pathlib
 import random
 import struct
 import zlib
@@ -142,7 +143,7 @@ class TestRecovery:
 
     def test_random_truncation_keeps_committed_prefix(self, tmp_path):
         path, _ = self._populate(tmp_path)
-        whole = open(path, "rb").read()
+        whole = pathlib.Path(path).read_bytes()
         rng = random.Random(5)
         for cut in sorted(rng.sample(range(1, len(whole)), 12)):
             p = str(tmp_path / f"cut{cut}.log")
@@ -176,9 +177,9 @@ class TestRecovery:
         path, _ = self._populate(tmp_path)
         faults.truncate_file(path, -3)
         PersistentJournal.recover(path).close()
-        first = open(path, "rb").read()
+        first = pathlib.Path(path).read_bytes()
         PersistentJournal.recover(path).close()
-        second = open(path, "rb").read()
+        second = pathlib.Path(path).read_bytes()
         assert first == second
 
     def test_crash_before_flush_aborts_the_txn(self, tmp_path):
@@ -205,7 +206,7 @@ class TestRecovery:
         faults.truncate_file(path, -5)
         j = PersistentJournal.recover(path)
         # the file now ends on a frame boundary again
-        data = open(path, "rb").read()
+        data = pathlib.Path(path).read_bytes()
         _, valid_end = codec.scan_records(data)
         assert valid_end == len(data)
         j.close()
@@ -214,7 +215,7 @@ class TestRecovery:
         path, _ = self._populate(tmp_path)
         faults.corrupt_file(path, -9, 2)
         j = PersistentJournal.recover(path)
-        data = open(path, "rb").read()
+        data = pathlib.Path(path).read_bytes()
         _, valid_end = codec.scan_records(data)
         assert valid_end == len(data)
         j.close()
@@ -300,11 +301,11 @@ class TestCommitLog:
         path = self._log(tmp_path, n=2)
         with open(path, "ab") as f:
             f.write(codec.encode_frame(_PARENT_LAYOUT_PAYLOAD))
-        before = open(path, "rb").read()
+        before = pathlib.Path(path).read_bytes()
         for read in (CommitLog.scan, CommitLog.recover):
             with pytest.raises(IntegrityError, match="not a commit"):
                 read(path)
-            assert open(path, "rb").read() == before
+            assert pathlib.Path(path).read_bytes() == before
 
     def test_engine_refuses_a_live_log_in_the_parent_layout(self, tmp_path):
         d = str(tmp_path / "db")
@@ -314,10 +315,10 @@ class TestCommitLog:
         path = os.path.join(d, live)
         with open(path, "ab") as f:
             f.write(codec.encode_frame(_PARENT_LAYOUT_PAYLOAD))
-        before = open(path, "rb").read()
+        before = pathlib.Path(path).read_bytes()
         with pytest.raises(IntegrityError):
             open_engine(d)
-        assert open(path, "rb").read() == before
+        assert pathlib.Path(path).read_bytes() == before
 
     def test_one_frame_per_commit_and_nothing_before(self, tmp_path):
         log = CommitLog(str(tmp_path / "wal.log"))
@@ -358,12 +359,12 @@ class TestCommitLog:
         log, commits = CommitLog.recover(path)
         log.close()
         assert len(commits) == 4
-        first = open(path, "rb").read()
+        first = pathlib.Path(path).read_bytes()
         assert len(first) < full - 3
         log, again = CommitLog.recover(path)
         log.close()
         assert again == commits
-        assert open(path, "rb").read() == first
+        assert pathlib.Path(path).read_bytes() == first
 
     def test_crc_failure_in_tail_truncates_it(self, tmp_path):
         path = self._log(tmp_path)
@@ -371,7 +372,7 @@ class TestCommitLog:
         log, commits = CommitLog.recover(path)
         log.close()
         assert [ct for _, ct, _ in commits] == [0, 1, 2, 3]
-        _, valid_end = codec.scan_frames(open(path, "rb").read())
+        _, valid_end = codec.scan_frames(pathlib.Path(path).read_bytes())
         assert valid_end == os.path.getsize(path)
 
     def test_corrupt_middle_frame_raises_and_stays_unchanged(self, tmp_path):
@@ -379,10 +380,10 @@ class TestCommitLog:
         size = os.path.getsize(path)
         for off in (size // 3, 2, 5):  # a payload byte, the magic, the length
             faults.corrupt_file(path, off, 1)
-            before = open(path, "rb").read()
+            before = pathlib.Path(path).read_bytes()
             with pytest.raises(IntegrityError):
                 CommitLog.recover(path)
-            assert open(path, "rb").read() == before
+            assert pathlib.Path(path).read_bytes() == before
             faults.corrupt_file(path, off, 1)  # flip it back
         log, commits = CommitLog.recover(path)
         log.close()
@@ -404,7 +405,7 @@ class TestCommitLog:
             txns.append(txn)
             ends.append(log.durable_offset)
         log.close()
-        data = open(path, "rb").read()
+        data = pathlib.Path(path).read_bytes()
         cut_path = str(tmp_path / "cut.log")
         for cut in [0, ends[-1]] + [rng.randrange(ends[-1]) for _ in range(12)]:
             with open(cut_path, "wb") as f:
@@ -446,10 +447,10 @@ class TestCommitLog:
         j = PersistentJournal(path)
         commit(j, "a", st=0, ct=1, updates=[("k", Effect.assign(3))])
         j.close()
-        before = open(path, "rb").read()
+        before = pathlib.Path(path).read_bytes()
         with pytest.raises(IntegrityError):
             CommitLog.recover(path)
-        assert open(path, "rb").read() == before
+        assert pathlib.Path(path).read_bytes() == before
 
     def test_existing_content_needs_recover(self, tmp_path):
         path = self._log(tmp_path, n=1)

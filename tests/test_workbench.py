@@ -373,7 +373,7 @@ class TestCli:
             for key in (f"a{i}", f"b{i}"):
                 txn.effect_buffer[key] = Effect.incr(1)
                 engine.do_update(txn, key, Effect.incr(1))
-            txn.ct = i + 1
+            txn.ct = i  # at st i: each commit's pass moves the horizon to ct + 1
             engine.do_commit(txn)
         engine.close()
         assert main(["recover", "--dir", d]) == 0

@@ -5,11 +5,11 @@ Each seed draws a tiny EngineConfig and an isolation level, then runs a
 random sequence over TransactionManager on the engine: begin (up to three
 transactions open at once, some at the snapshot from before the last commit
 finished, as a begin racing that commit would hold), read, assign, incr,
-commit, abort, read_at at an
-old snapshot, compact (forced or not), a clean reopen, a crash at a
-faults.FAULT_POINTS entry followed by a reopen (which may itself crash once
-at a recovery step), and an I/O failure inside a compaction pass, after
-which the run goes on with no reopen and every read is checked at once. The model is the set of acknowledged commits: every
+commit, abort, read_at at an old snapshot, compact (forced or not), a clean
+reopen, a crash at a faults.FAULT_POINTS entry followed by a reopen (which
+may itself crash once at a recovery step), and an I/O failure inside a
+compaction pass, after which the run goes on with no reopen and every read
+is checked at once. The model is the set of acknowledged commits: every
 read must equal cobble.oracle's valuation of it, and under si every commit
 must succeed or fail as first-committer-wins says. A reopen drops the open
 transactions and keeps every acknowledged commit; a commit in flight when

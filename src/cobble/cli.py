@@ -7,8 +7,10 @@ import os
 import sys
 import tempfile
 
+from . import codec
 from .bench import STORE_NAMES, run_store_bench, write_csv
-from .engine import EngineConfig, LevelledStore, first_overlap, open_engine, recover_engine
+from .engine import (MANIFEST_NAME, EngineConfig, LevelledStore, first_overlap, open_engine,
+                     recover_engine)
 from .memory import JournalStore, MapStore
 from .oracle import generate_trace, replay, validate_trace, valuation_effect
 from .persistent import PersistentJournal
@@ -152,6 +154,9 @@ def _cmd_recover(args) -> int:
     layout = engine.layout()
     print(f"recovered {args.dir}: highest ts {highest}, "
           f"horizon {layout['horizon']}")
+    with open(os.path.join(args.dir, MANIFEST_NAME), "rb") as f:
+        manifest = f.read()
+    print(f"  MANIFEST  {len(manifest)} B  next fid {codec.decode_layout(manifest)[1]}")
     for rel, (lo, hi) in layout["live"]:
         print(f"  live  {rel}  window [{lo}, {'open' if hi is None else hi})")
     for lvl, (row, counts) in enumerate(zip(layout["levels"], layout["entries"])):

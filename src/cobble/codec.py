@@ -1,5 +1,5 @@
-"""Binary codecs: journal record frames, commit and MANIFEST batch frames,
-and map/checkpoint files.
+"""Binary codecs: journal record and commit frames, the MANIFEST file, and
+map/checkpoint files.
 
 Frame layout: magic "CBLE" | u32le payload length | payload | u32le CRC-32
 (IEEE, over the payload only). A scan stops at the first frame that fails
@@ -28,13 +28,13 @@ smallest that holds the value; st > ct does not encode. The tag is no
 RecordKind value, so a journal record never decodes as a commit, and a
 payload in an earlier layout (tag "C") is refused.
 
-MANIFEST batch payload (one per batch of engine layout edits), little-endian:
-tag "m" | u64 ts (the engine's last commit timestamp) | entries to the end,
-each u8 action (0 add, 1 remove) | u8 level + 1 (0 = live) | u64 window.lo |
-u64 window.hi (2^64 - 1 while open) | u8 has-range | path | and when
-has-range is 1, the lowest and highest key, each string a u16 length and
-UTF-8. A journal record, the MANIFEST's earlier layout, starts with a
-RecordKind byte, never "m", so it is refused.
+MANIFEST file: exactly one frame, whose payload is the engine's whole
+layout, little-endian: tag "L" | u64 ts (the engine's last commit
+timestamp) | u64 next file id | entries to the end, each u8 level + 1 (0 =
+live) | u64 window.lo | u64 window.hi (2^64 - 1 while open) | u8 has-range
+| path | and when has-range is 1, the lowest and highest key, each string a
+u16 length and UTF-8. A MANIFEST in an earlier layout (a log of journal
+records, or of "m"-tagged batches of layout edits) is refused.
 
 Map (checkpoint) file layout, little-endian on every host: magic
 "CBLMAP02" | u64 window.lo | u64 window.hi | u32 entry count n | u32 key
@@ -61,7 +61,6 @@ from .effects import Effect, decode_effect, encode_effect
 from .store import (
     IntegrityError,
     JournalRecord,
-    ManifestAction,
     ManifestEntry,
     RecordKind,
     Window,
@@ -70,13 +69,13 @@ from .store import (
 FRAME_MAGIC = b"CBLE"
 MAP_MAGIC = b"CBLMAP02"
 COMMIT_TAG = b"c"
-MANIFEST_TAG = b"m"
+LAYOUT_TAG = b"L"
 _FRAME_HEADER = len(FRAME_MAGIC) + 4
 _MAP_HEADER = struct.Struct("<QQII")  # window lo, window hi, entry count, key blob bytes
 _UNSIGNED = "BHIQ"  # head width codes 0-3
 _SIGNED = ("", "b", "h", "i", "q")  # write width codes 0-4
-_BATCH_HEAD = struct.Struct("<cQ")  # tag, ts
-_ENTRY = struct.Struct("<BBQQB")  # action, level + 1, window lo, hi, has-range
+_LAYOUT_HEAD = struct.Struct("<cQQ")  # tag, ts, next file id
+_ENTRY = struct.Struct("<BQQB")  # level + 1, window lo, hi, has-range
 _U16 = struct.Struct("<H")
 _OPEN_HI = (1 << 64) - 1  # wire sentinel for an open window top
 
@@ -214,30 +213,34 @@ def decode_commit(payload: bytes) -> tuple[int, int, list[Write]]:
         raise IntegrityError(f"bad commit payload: {exc}") from exc
 
 
-def encode_batch(ts: int, entries: list[ManifestEntry]) -> bytes:
-    """The MANIFEST payload of one edit batch; struct.error if ts or a window
-    bound is not a u64 or a path or key exceeds 65535 UTF-8 bytes."""
-    parts = [_BATCH_HEAD.pack(MANIFEST_TAG, ts)]
+def encode_layout(ts: int, next_fid: int, entries: list[ManifestEntry]) -> bytes:
+    """The MANIFEST file of one layout; struct.error if ts, the next fid or a
+    window bound is not a u64 or a path or key exceeds 65535 UTF-8 bytes."""
+    parts = [_LAYOUT_HEAD.pack(LAYOUT_TAG, ts, next_fid)]
     for e in entries:
         hi = _OPEN_HI if e.window.hi is None else e.window.hi
-        parts.append(_ENTRY.pack(e.action, e.level + 1, e.window.lo, hi,
-                                 e.key_range is not None))
+        parts.append(_ENTRY.pack(e.level + 1, e.window.lo, hi, e.key_range is not None))
         for text in (e.path, *(e.key_range or ())):
             raw = text.encode()
             parts += (_U16.pack(len(raw)), raw)
-    return b"".join(parts)
+    return encode_frame(b"".join(parts))
 
 
-def decode_batch(payload: bytes) -> tuple[int, list[ManifestEntry]]:
-    """(ts, entries) of a MANIFEST batch payload; IntegrityError if malformed."""
+def decode_layout(data: bytes) -> tuple[int, int, list[ManifestEntry]]:
+    """(ts, next fid, entries) of a MANIFEST file; IntegrityError unless it is
+    one whole frame holding a well-formed layout."""
     try:
-        tag, ts = _BATCH_HEAD.unpack_from(payload)
-        if tag != MANIFEST_TAG:
-            raise ValueError("not a manifest batch")
-        off = _BATCH_HEAD.size
+        payloads, end = scan_frames(data)
+        if len(payloads) != 1 or end != len(data):
+            raise ValueError(f"{len(payloads)} whole frames in {len(data)} bytes, not one")
+        payload = payloads[0]
+        tag, ts, next_fid = _LAYOUT_HEAD.unpack_from(payload)
+        if tag != LAYOUT_TAG:
+            raise ValueError("not a layout")
+        off = _LAYOUT_HEAD.size
         entries = []
         while off < len(payload):
-            action, level, lo, hi, has_range = _ENTRY.unpack_from(payload, off)
+            level, lo, hi, has_range = _ENTRY.unpack_from(payload, off)
             off += _ENTRY.size
             texts = []  # the path, then the key range if it has one
             for _ in range(3 if has_range else 1):
@@ -246,12 +249,12 @@ def decode_batch(payload: bytes) -> tuple[int, list[ManifestEntry]]:
                 texts.append(payload[off - n:off].decode())
             if off > len(payload) or has_range > 1:
                 raise ValueError("malformed entry")
-            entries.append(ManifestEntry(ManifestAction(action), level - 1, texts[0],
+            entries.append(ManifestEntry(level - 1, texts[0],
                                          Window(lo, None if hi == _OPEN_HI else hi),
                                          tuple(texts[1:]) or None))
-        return ts, entries
+        return ts, next_fid, entries
     except (struct.error, UnicodeDecodeError, ValueError) as exc:
-        raise IntegrityError(f"bad manifest batch: {exc}") from exc
+        raise IntegrityError(f"bad manifest: {exc}") from exc
 
 
 def encode_frame(payload: bytes) -> bytes:

@@ -1,21 +1,22 @@
 """Levelled store engine: live pairs (a commit log plus a memtable) on top,
-checkpoint levels below, a MANIFEST recording every structural change.
+checkpoint levels below, and a MANIFEST that records the whole layout.
 
 Every file takes its name from one counter: wal-{fid}.log for a commit log,
 ckpt-{fid}.cb for a checkpoint, wherever it sits in the layout. The layout
 changes only in a compaction pass, which builds the final layout (a
 rotation when the accepting pair is full, then the swaps and level merges
 that capacity asks for and the gate allows), writes the checkpoints that
-layout holds with no file, and applies it with _apply_locked: the
-difference from the current layout is logged as one MANIFEST batch of
-ADD/REMOVE entries, durable as one frame before the layout in memory
-changes (no batch when nothing named changed), and every file the new
+layout holds with no file, and applies it with _apply_locked. When the set
+of named files changes, the new layout replaces the MANIFEST: one CRC frame
+holding the last commit timestamp, the next file id and every (level, name,
+window, key range) the layout names, written to MANIFEST.tmp, fsynced with
+the directory (which makes the pass's new names durable) and renamed over
+MANIFEST, before the layout in memory changes and before any file the new
 layout no longer names is unlinked. A pass that raises changes nothing in
 memory and unlinks what it wrote; a commit or abort that ran it still
 reports its own outcome, the error is kept in compaction_error, and the
-next commit runs the pass again. A batch also records the last commit
-timestamp: once recovery drops a log that held no writes, that is the only
-trace of its commits.
+next commit runs the pass again. Once recovery drops a log that held no
+writes, the recorded timestamp is the only trace of its commits.
 
 Each live pair is the write-all/read-one composition: its log holds one
 frame per committed transaction and serves no reads, its memtable serves
@@ -23,10 +24,10 @@ them all. A begin pins the transaction to the accepting pair, and that pin
 is the transaction's only lifecycle below the coordinator. A rotation
 waits until no transaction is pinned, so every pin is on the accepting
 pair. It seals the pair and persists its level-0 checkpoint, built from
-the memtable's per-key version lists; the pass's batch adds it, removes
-the sealed log and adds the next pair's log, so the MANIFEST names at most
-one log. The sealed pair stays live, its memtable answering every read,
-until a pass swaps the checkpoint into level 0, which changes no name.
+the memtable's per-key version lists; the pass's MANIFEST names that
+checkpoint and the next pair's log in place of the sealed log, so it names
+at most one log. The sealed pair stays live, its memtable answering every
+read, until a pass swaps the checkpoint into level 0, which changes no name.
 Level 0 holds checkpoints in age order with overlapping key ranges; every
 level >= 1 is a run of checkpoints sorted by key range with disjoint
 ranges. A read walks the live pairs and level 0 newest to oldest, then
@@ -38,33 +39,32 @@ levels; a begin below it is refused, since its reads could not be answered.
 A level merge (merge_down, a function of the rows alone) moves a source
 that overlaps nothing below down whole, and otherwise folds it into only
 the checkpoints it overlaps. Compaction only folds already-consolidated
-entries, never concurrent effects across stores. Recovery replays the
-MANIFEST (cutting a torn last batch), rebuilds each level's key order from
-the ranges it records (refusing overlaps), folds the one named log straight
-into one more level-0 checkpoint when it holds writes, logs the difference
-from the replayed layout as one batch, deletes every wal-*/ckpt-* file the
-result does not name, and restarts timestamps above every commit timestamp
-it saw; rerunning it reproduces the same visible layout.
+entries, never concurrent effects across stores. Recovery reads the one
+MANIFEST frame (no replay), orders level 0 by window and each deeper level
+by the key ranges it records (refusing overlaps), folds the one named log
+straight into one more level-0 checkpoint when it holds writes, replaces
+the MANIFEST when that changes the named files, deletes MANIFEST.tmp and
+every wal-*/ckpt-* file the result does not name, and restarts timestamps
+above every commit timestamp it saw; rerunning it reproduces the same
+visible layout.
 """
 
 from __future__ import annotations
 
 import os
-import re
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from . import faults
+from . import codec, faults
 from .composition import Checkpoint, WALMemtablePair, fold_commits, make_checkpoint
 # perfbench/spans.py wraps rebuild_wmp by this name; recovery no longer calls it
 from .composition import rebuild_wmp  # noqa: F401
 from .effects import Effect, apply
 from .memory import MapStore
-from .persistent import Batch, CommitLog, ManifestLog
+from .persistent import CommitLog, discard, replace_file
 from .store import (
     IntegrityError,
-    ManifestAction,
     ManifestEntry,
     StaleSnapshotError,
     Store,
@@ -107,11 +107,6 @@ def ckpt_name(fid: int) -> str:
     return f"ckpt-{fid}.cb"
 
 
-_FILE_NAME = re.compile(r"wal-(\d+)\.log|ckpt-(\d+)\.cb")
-
-# (level, name) -> (window, key range) of every file a layout names, in
-# layout order
-Named = dict[tuple[int, str], tuple[Window, tuple[str, str] | None]]
 Levels = tuple[tuple[Checkpoint, ...], ...]
 
 
@@ -119,42 +114,17 @@ def _log_name(wmp: WALMemtablePair) -> str:
     return os.path.basename(wmp.wal.path)
 
 
-def _named(live, levels, flushed) -> Named:
-    """What a layout names: each live pair's log, or, for a pair in flushed
-    (a sealed pair mapped to its built checkpoint), that checkpoint at level
-    0; then every level's checkpoints."""
-    named: Named = {}
-    for w in live:
-        ck = flushed.get(w)
-        if ck is None:
-            named[(LIVE_LEVEL, _log_name(w))] = (w.window, None)
-        else:
-            named[(0, ck.path)] = (ck.window, None)
-    for lvl, row in enumerate(levels):
-        named.update(((lvl, ck.path), (ck.window, ck.key_range)) for ck in row)
+def _named(live, levels, flushed) -> list[ManifestEntry]:
+    """What a layout names, as its MANIFEST records it: each live pair's
+    log, or, for a pair in flushed (a sealed pair mapped to its built
+    checkpoint), that checkpoint at level 0; then every level's checkpoints,
+    with their key ranges at levels >= 1. Level 0 is thus not in age order;
+    recovery orders it by window."""
+    named = [ManifestEntry(LIVE_LEVEL, _log_name(w), w.window) if w not in flushed
+             else ManifestEntry(0, flushed[w].path, flushed[w].window) for w in live]
+    named += [ManifestEntry(lvl, ck.path, ck.window, ck.key_range if lvl else None)
+              for lvl, row in enumerate(levels) for ck in row]
     return named
-
-
-def _unlink(path: str) -> None:
-    """Delete a file; one a failed unlink leaves is an orphan that the next
-    recovery deletes."""
-    try:
-        os.remove(path)
-    except OSError:
-        pass
-
-
-def _layout_edits(old: Named, new: Named) -> list[ManifestEntry]:
-    """The MANIFEST batch that turns layout old into new: a REMOVE for each
-    (level, name) only old holds, then an ADD for each only new holds, in
-    new's order. A REMOVE, and an ADD at level 0 or live, carry no key
-    range."""
-    edits = [ManifestEntry(ManifestAction.REMOVE, lvl, name, window)
-             for (lvl, name), (window, _) in old.items() if (lvl, name) not in new]
-    edits += [ManifestEntry(ManifestAction.ADD, lvl, name, window,
-                            key_range if lvl > 0 else None)
-              for (lvl, name), (window, key_range) in new.items() if (lvl, name) not in old]
-    return edits
 
 
 def merge_down(levels: Levels, level: int, count: int, chunk: int) -> Levels:
@@ -201,13 +171,11 @@ class LevelledStore(Store):
     """The engine. Use LevelledStore.create / open_engine, not __init__ directly."""
 
     def __init__(self, directory: str, config: EngineConfig,
-                 manifest: ManifestLog,
                  live: list[WALMemtablePair],
                  levels: list[list[Checkpoint]],
                  last_ct: int, fid: int):
         self.directory = directory
         self.config = config
-        self._manifest = manifest
         # (live pairs, checkpoint levels, each level's range starts), replaced
         # by one assignment so that a lookup reading it once never sees a pair
         # both live and checkpointed, or a level out of step with its starts
@@ -244,9 +212,7 @@ class LevelledStore(Store):
         mpath = os.path.join(directory, MANIFEST_NAME)
         if os.path.exists(mpath) and os.path.getsize(mpath) > 0:
             raise StoreError(f"{directory} already holds an engine; use open_engine")
-        manifest = ManifestLog(mpath)
-        engine = cls(directory, config, manifest,
-                     live=[], levels=[[] for _ in range(config.max_levels)],
+        engine = cls(directory, config, live=[], levels=[[] for _ in range(config.max_levels)],
                      last_ct=-1, fid=0)
         with engine._mutex:
             first = engine._new_pair_locked(0)
@@ -287,27 +253,27 @@ class LevelledStore(Store):
                       flushed: dict[WALMemtablePair, Checkpoint],
                       written: list[str] = ()) -> None:
         """Make (live, levels) the layout, with flushed holding the built
-        checkpoints of its sealed pairs. The difference from the current
-        layout is logged as one durable MANIFEST batch, if there is one,
-        before the layout in memory changes; then every log and file that the
-        old layout or written names and the new one does not is closed and
-        unlinked."""
+        checkpoints of its sealed pairs. When the set of named files changes,
+        the new layout replaces the MANIFEST before the layout in memory
+        changes; then every log and file that the old layout or written names
+        and the new one does not is closed and unlinked (left to recovery's
+        sweep when the MANIFEST's rename may not be durable)."""
         old_live, old_levels, _ = self._layout
         old = _named(old_live, old_levels, self._flushed)
         flushed = {w: flushed[w] for w in live if w in flushed}
         new = _named(live, levels, flushed)
-        edits = _layout_edits(old, new)
-        if edits:
-            self._manifest.append(max(self._last_ct, 0), edits)
+        durable = set(new) == set(old) or replace_file(
+            self._abs(MANIFEST_NAME), codec.encode_layout(max(self._last_ct, 0), self._fid, new))
         self._flushed = flushed
         self._set_layout_locked(live, levels)
-        kept = {name for _, name in new}
+        kept = {e.path for e in new}
         logs = {_log_name(w): w for w in old_live}
-        for name in [name for _, name in old] + list(written):
+        for name in [e.path for e in old] + list(written):
             if name not in kept:
                 if name in logs:
                     logs[name].wal.close()
-                _unlink(self._abs(name))
+                if durable:
+                    discard(self._abs(name))
 
     # -- Store protocol -------------------------------------------------------
 
@@ -523,7 +489,7 @@ class LevelledStore(Store):
                 tail.unseal()
             if isinstance(exc, (OSError, StoreError)):
                 for name in written:
-                    _unlink(self._abs(name))
+                    discard(self._abs(name))
                 self.compaction_error = exc
                 self.stats["failed_passes"] += 1
             raise
@@ -557,55 +523,22 @@ class LevelledStore(Store):
         with self._mutex:
             for wmp in self._layout[0]:
                 wmp.wal.close()
-            self._manifest.close()
 
 
 # -- recovery -------------------------------------------------------------------
 
-def replay_manifest(batches: list[Batch]) -> tuple[dict[str, ManifestEntry],
-                                                  list[dict[str, ManifestEntry]],
-                                                  int, int]:
-    """Fold the logged manifest batches, oldest first, into the referenced
-    layout.
-
-    Returns (live adds by path, per-level adds by path, next fid, max batch
-    ts). The next fid is one above every fid an entry ever named.
-    """
-    live: dict[str, ManifestEntry] = {}
-    levels: list[dict[str, ManifestEntry]] = []
-    max_fid = -1
-    max_ts = -1
-    for ts, entries in batches:
-        if ts > max_ts:
-            max_ts = ts
-        for entry in entries:
-            fm = _FILE_NAME.fullmatch(entry.path)
-            if fm:
-                max_fid = max(max_fid, int(fm[1] or fm[2]))
-            while entry.level >= len(levels):
-                levels.append({})
-            target = live if entry.level == LIVE_LEVEL else levels[entry.level]
-            if entry.action == ManifestAction.ADD:
-                target[entry.path] = entry
-            else:
-                target.pop(entry.path, None)
-    for lvl in range(1, len(levels)):
-        levels[lvl] = _key_ordered(lvl, levels[lvl])
-    return live, levels, max_fid + 1, max_ts
-
-
-def _key_ordered(level: int, refs: dict[str, ManifestEntry]) -> dict[str, ManifestEntry]:
+def _key_ordered(level: int, refs: list[ManifestEntry]) -> list[ManifestEntry]:
     """A level >= 1's entries sorted by the key range each records; raises
     IntegrityError when one records none or two ranges overlap."""
-    for e in refs.values():
+    for e in refs:
         if e.key_range is None:
             raise IntegrityError(f"level {level} checkpoint {e.path} records no key range")
-    ordered = sorted(refs.values(), key=lambda e: e.key_range)
+    ordered = sorted(refs, key=lambda e: e.key_range)
     pair = first_overlap([(e.path, e.key_range) for e in ordered])
     if pair is not None:
         raise IntegrityError(
             f"level {level} checkpoints {pair[0]} and {pair[1]} have overlapping key ranges")
-    return {e.path: e for e in ordered}
+    return ordered
 
 
 def first_overlap(row: list[tuple[str, tuple[str, str]]]) -> tuple[str, str] | None:
@@ -631,27 +564,31 @@ def recover_engine(directory: str, config: EngineConfig | None = None
     mpath = os.path.join(directory, MANIFEST_NAME)
     if not os.path.exists(mpath):
         raise StoreError(f"no engine manifest in {directory}")
-    manifest, batches = ManifestLog.recover(mpath)
+    with open(mpath, "rb") as f:
+        highest, fid, entries = codec.decode_layout(f.read())
     pair: WALMemtablePair | None = None
     try:
         faults.fire("during-recovery-step-0", path=mpath)
 
-        live_refs, level_refs, fid, max_manifest_ts = replay_manifest(batches)
-        faults.fire("during-recovery-step-1")
-
-        # a rotation removes the sealed log in the batch that adds the next
+        # a rotation names the next pair's log in place of the sealed one
+        live_refs = [e for e in entries if e.level == LIVE_LEVEL]
         if len(live_refs) > 1:
             raise IntegrityError(f"{mpath} names {len(live_refs)} live logs "
-                                 f"({', '.join(live_refs)}); at most one can be live")
-        highest = max(0, max_manifest_ts)
-        for lvl in range(config.max_levels, len(level_refs)):
-            if level_refs[lvl]:
-                raise StoreError(
-                    f"manifest references level {lvl} but config allows "
-                    f"{config.max_levels} levels")
+                                 f"({', '.join(e.path for e in live_refs)}); "
+                                 "at most one can be live")
+        for e in entries:
+            if e.level >= config.max_levels:
+                raise StoreError(f"manifest references level {e.level} but config allows "
+                                 f"{config.max_levels} levels")
+        # level 0 in age order, each level below it in key order
+        level_refs = [sorted((e for e in entries if e.level == 0), key=lambda e: e.window.lo)]
+        level_refs += [_key_ordered(lvl, [e for e in entries if e.level == lvl])
+                       for lvl in range(1, config.max_levels)]
+        faults.fire("during-recovery-step-1")
+
         levels: list[list[Checkpoint]] = [[] for _ in range(config.max_levels)]
-        for lvl in range(min(len(level_refs), config.max_levels)):
-            for entry in level_refs[lvl].values():
+        for lvl, refs in enumerate(level_refs):
+            for entry in refs:
                 try:
                     ck = Checkpoint.load(os.path.join(directory, entry.path), entry.window)
                 except FileNotFoundError as exc:
@@ -665,7 +602,7 @@ def recover_engine(directory: str, config: EngineConfig | None = None
                 if ck.window.hi - 1 > highest:
                     highest = ck.window.hi - 1
         # read and validate the log before changing any file
-        log = next(iter(live_refs.values()), None)
+        log = live_refs[0] if live_refs else None
         commits = []
         if log is not None:
             log_path = os.path.join(directory, log.path)
@@ -700,27 +637,24 @@ def recover_engine(directory: str, config: EngineConfig | None = None
                                    MapStore(), Window(coverage_hi, None))
             fid += 1
 
-        replayed = {(e.level, e.path): (e.window, e.key_range)
-                    for refs in (live_refs, *level_refs) for e in refs.values()}
         new = _named((pair,), levels, {})
-        edits = _layout_edits(replayed, new)
-        if edits:
-            manifest.append(highest, edits)
+        durable = set(new) == set(entries) or replace_file(
+            mpath, codec.encode_layout(highest, fid, new))
         faults.fire("during-recovery-step-4")
 
         # a file the layout does not name was left by a crash or a failed unlink
-        kept = {name for _, name in new}
-        for name in os.listdir(directory):
-            if name.startswith(("wal-", "ckpt-")) and name not in kept:
-                _unlink(os.path.join(directory, name))
+        kept = {e.path for e in new}
+        for name in os.listdir(directory) if durable else ():
+            if (name.startswith(("wal-", "ckpt-")) and name not in kept
+                    or name == MANIFEST_NAME + ".tmp"):
+                discard(os.path.join(directory, name))
 
-        engine = LevelledStore(directory, config, manifest, live=[pair], levels=levels,
+        engine = LevelledStore(directory, config, live=[pair], levels=levels,
                                last_ct=highest, fid=fid)
         faults.fire("during-recovery-step-5")
     except BaseException:
         if pair is not None:
             pair.wal.close()
-        manifest.close()
         raise
     return engine, highest
 

@@ -1,4 +1,5 @@
-"""Crash-tolerant logs: the persistent journal and two thin frame logs.
+"""Crash-tolerant files: the persistent journal, the commit log, and the
+rename that replaces a whole file.
 
 PersistentJournal has the in-memory journal's read semantics; every append
 is also framed into a log file. Commit acknowledgment happens only after
@@ -6,11 +7,15 @@ fsync. Recovery scans the longest valid frame prefix, truncates torn bytes,
 and appends abort records for transactions the crash left unterminated, so
 a second recovery pass is a byte-identical no-op.
 
-CommitLog and ManifestLog answer no reads and keep nothing in memory: each
-writes one CRC frame per committed transaction or per batch of engine
-layout edits, with one write and one fsync, and recovery returns the
-decoded frames for the engine to fold. Both share one scan: a torn tail is
-cut, and a bad frame with a valid one after it raises IntegrityError.
+CommitLog answers no reads and keeps nothing in memory: it writes one CRC
+frame per committed transaction, with one write and one fsync, and recovery
+returns the decoded commits for the engine to fold. A torn tail is cut, and
+a bad frame with a valid one after it raises IntegrityError.
+
+replace_file makes new bytes the whole content of a file (the engine's
+MANIFEST) through a temp file and a rename, with the file and directory
+fsyncs that make the new content, and every name created in the directory
+before it, durable before the rename and the rename durable after it.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from .memory import JournalStore
 from .store import (
     IntegrityError,
     JournalRecord,
-    ManifestEntry,
     RecordKind,
     StoreError,
     TransactionDescriptor,
@@ -41,9 +45,6 @@ class _FrameFile:
     I/O error the file is rolled back to its durable prefix, so a commit
     whose write or fsync failed can never surface after recovery, and the
     log stays failed.
-
-    A log whose frames are read back through scan and recover sets _decode,
-    which turns one payload into one item or raises IntegrityError.
     """
 
     def __init__(self, path: str, _recovered: bool = False):
@@ -97,53 +98,11 @@ class _FrameFile:
             self._fail("flush", exc)
         self._durable_offset = self._size
 
-    def _append_durably(self, payload: bytes) -> None:
-        """One frame, one write and one fsync; returns once it is durable."""
-        with self._lock:
-            self._write_frame(payload)
-            self._sync()
-
     def close(self) -> None:
         try:
             self._f.close()
         except OSError:
             pass
-
-    @classmethod
-    def scan(cls, path: str) -> tuple[list, int | None]:
-        """Read and decode an existing log without changing it.
-
-        Returns the decoded frames in log order, and the offset to cut a
-        torn tail at, or None when the log ends cleanly. A torn tail, or one
-        that fails its CRC, is left out. Frames are written and fsynced one
-        at a time, so a crash can tear only the last one: a bad frame with a
-        valid frame after it, or a frame that passes its CRC but does not
-        decode, raises IntegrityError.
-        """
-        if not os.path.exists(path):
-            raise StoreError(f"no log at {path}")
-        with open(path, "rb") as f:
-            data = f.read()
-        payloads, valid_end = codec.scan_frames(data)
-        items = [cls._decode(p) for p in payloads]
-        if valid_end == len(data):
-            return items, None
-        if codec.frame_after(data, valid_end):
-            raise IntegrityError(
-                f"{path}: bad frame at byte {valid_end} with valid frames after it")
-        return items, valid_end
-
-    @classmethod
-    def recover(cls, path: str) -> tuple["_FrameFile", list]:
-        """Open an existing log; returns it and its frames as scan does.
-
-        A torn tail is truncated, so a second recovery leaves the file
-        byte-identical; on IntegrityError the file stays as it is.
-        """
-        items, cut = cls.scan(path)
-        if cut is not None:
-            os.truncate(path, cut)
-        return cls(path, _recovered=True), items
 
 
 class PersistentJournal(JournalStore, _FrameFile):
@@ -205,8 +164,6 @@ class PersistentJournal(JournalStore, _FrameFile):
 
 # one logged commit: (st, ct, writes)
 Commit = tuple[int, int, list[Write]]
-# one logged batch of layout edits: (ts, entries)
-Batch = tuple[int, list[ManifestEntry]]
 
 
 class CommitLog(_FrameFile):
@@ -219,8 +176,6 @@ class CommitLog(_FrameFile):
     durable offset. scan and recover give each commit as
     codec.decode_commit does.
     """
-
-    _decode = staticmethod(codec.decode_commit)
 
     def do_begin(self, txn: TransactionDescriptor) -> None:
         pass
@@ -236,19 +191,91 @@ class CommitLog(_FrameFile):
             raise StoreError(f"commit of txn {txn.txn_id!r} without a ct")
         if txn.st > txn.ct:
             raise StoreError(f"txn {txn.txn_id!r} has its st {txn.st} after its ct {txn.ct}")
-        self._append_durably(codec.encode_commit(txn.st, txn.ct, txn.effect_buffer))
+        payload = codec.encode_commit(txn.st, txn.ct, txn.effect_buffer)
+        with self._lock:
+            self._write_frame(payload)
+            self._sync()
+
+    @staticmethod
+    def scan(path: str) -> tuple[list[Commit], int | None]:
+        """Read and decode an existing log without changing it.
+
+        Returns the commits in log order, and the offset to cut a torn tail
+        at, or None when the log ends cleanly. A torn tail, or one that
+        fails its CRC, is left out. Frames are written and fsynced one at a
+        time, so a crash can tear only the last one: a bad frame with a
+        valid frame after it, or a frame that passes its CRC but does not
+        decode, raises IntegrityError.
+        """
+        if not os.path.exists(path):
+            raise StoreError(f"no log at {path}")
+        with open(path, "rb") as f:
+            data = f.read()
+        payloads, valid_end = codec.scan_frames(data)
+        commits = [codec.decode_commit(p) for p in payloads]
+        if valid_end == len(data):
+            return commits, None
+        if codec.frame_after(data, valid_end):
+            raise IntegrityError(
+                f"{path}: bad frame at byte {valid_end} with valid frames after it")
+        return commits, valid_end
+
+    @classmethod
+    def recover(cls, path: str) -> tuple["CommitLog", list[Commit]]:
+        """Open an existing log; returns it and its commits as scan does.
+
+        A torn tail is truncated, so a second recovery leaves the file
+        byte-identical; on IntegrityError the file stays as it is.
+        """
+        commits, cut = cls.scan(path)
+        if cut is not None:
+            os.truncate(path, cut)
+        return cls(path, _recovered=True), commits
 
 
-class ManifestLog(_FrameFile):
-    """The engine's MANIFEST: one CRC frame per batch of layout edits.
+def discard(path: str) -> None:
+    """Delete a file if possible; one a failed delete leaves is an orphan,
+    which the engine's next recovery deletes."""
+    try:
+        os.remove(path)
+    except OSError:
+        pass
 
-    A batch is (ts, entries) with ts the engine's last commit timestamp, and
-    is applied whole or not at all: append is one write plus one fsync, and
-    recovery drops a torn last batch whole. scan and recover give each batch
-    as (ts, entries).
+
+def _fsync_dir(directory: str) -> None:
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def replace_file(path: str, data: bytes) -> bool:
+    """Make data the whole content of path: write it to path.tmp, fire
+    `before-flush`, fsync it, fsync the directory (which makes every name
+    created there so far durable), rename it over path and fsync the
+    directory again.
+
+    Until the rename, an OSError removes path.tmp and leaves path as it
+    was, and a crash leaves path.tmp behind. Returns False when only the
+    last fsync failed: path then holds data, but the rename may not be
+    durable yet, so nothing the old content names may be deleted.
     """
-
-    _decode = staticmethod(codec.decode_batch)
-
-    def append(self, ts: int, entries: list[ManifestEntry]) -> None:
-        self._append_durably(codec.encode_batch(ts, entries))
+    tmp = path + ".tmp"
+    directory = os.path.dirname(path) or "."
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+            f.flush()
+            faults.fire("before-flush", path=tmp)
+            os.fsync(f.fileno())
+        _fsync_dir(directory)
+        os.replace(tmp, path)
+    except OSError:
+        discard(tmp)
+        raise
+    try:
+        _fsync_dir(directory)
+    except OSError:
+        return False
+    return True

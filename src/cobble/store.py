@@ -81,16 +81,10 @@ class Window:
         return self.lo < read_st
 
 
-class ManifestAction(IntEnum):
-    ADD = 0
-    REMOVE = 1
-
-
 @dataclass(frozen=True)
 class ManifestEntry:
-    """One layout edit of the levelled engine, logged in its MANIFEST."""
+    """One file the levelled engine's layout names, as its MANIFEST records it."""
 
-    action: ManifestAction
     level: int  # -1 = live
     path: str  # relative to the engine directory
     window: Window

@@ -19,16 +19,14 @@ from cobble.effects import Effect, apply
 from cobble.engine import (
     EngineConfig,
     LevelledStore,
-    ManifestAction,
     ManifestEntry,
     merge_down,
     open_engine,
     recover_engine,
-    replay_manifest,
 )
 from cobble.faults import CrashProcess, FailFlush, FaultPlan, InjectedCrash
 from cobble.oracle import Step, Trace, generate_trace, replay, valuation_effect
-from cobble.persistent import CommitLog, ManifestLog, _FrameFile
+from cobble.persistent import CommitLog
 from cobble.store import (
     IntegrityError,
     StaleSnapshotError,
@@ -871,127 +869,158 @@ class TestPackedMerge:
         back.close()
 
 
-# a fresh engine's MANIFEST in the layout the batch frames replaced: a
-# journal transaction "m0" of BEGIN, one MANIFEST record adding wal-0.log as
-# the live pair, and COMMIT, one CRC frame each
+# a fresh engine's MANIFEST in the two layouts before the whole-layout frame,
+# one CRC frame per record or batch: a journal transaction "m0" of BEGIN, one
+# MANIFEST record adding wal-0.log as the live pair, and COMMIT; then one
+# "m"-tagged batch of layout edits adding it
 _JOURNAL_LAYOUT_MANIFEST = bytes.fromhex(
     "43424c450d0000000002006d3000000000000000000f9767e9"
     "43424c452b0000000402006d3000000000000000000000090077616c2d302e6c6f67"
     "0000000000000000ffffffffffffffff0037cee756"
     "43424c450d0000000202006d30000000000000000044223b89")
+_BATCH_LAYOUT_MANIFEST = bytes.fromhex(
+    "43424c45270000006d000000000000000000000000000000000000ffffffffffffffff"
+    "00090077616c2d302e6c6f67d26374e9")
+
+
+def _layout_entries(engine) -> set[ManifestEntry]:
+    """What the engine's layout names, as its MANIFEST should record it: the
+    accepting pair's log, each sealed live pair's flushed checkpoint at
+    level 0, and every level's checkpoints, with key ranges below level 0."""
+    live, levels, _ = engine._layout
+    entries = {ManifestEntry(-1, os.path.basename(w.wal.path), w.window)
+               for w in live if w not in engine._flushed}
+    entries |= {ManifestEntry(0, engine._flushed[w].path, engine._flushed[w].window)
+                for w in live if w in engine._flushed}
+    return entries | {ManifestEntry(lvl, ck.path, ck.window, ck.key_range if lvl else None)
+                      for lvl, row in enumerate(levels) for ck in row}
+
+
+def recording_manifest_writes(monkeypatch) -> list:
+    """(ts, next fid, entries) of every MANIFEST the engine module writes
+    from now on, in the order written."""
+    written = []
+    real = cobble.engine.replace_file
+
+    def replace_file(path, data):
+        written.append(codec.decode_layout(data))
+        return real(path, data)
+    monkeypatch.setattr(cobble.engine, "replace_file", replace_file)
+    return written
 
 
 class TestManifest:
     ENTRIES = [
-        ManifestEntry(ManifestAction.ADD, -1, "wal-0.log", Window(0, None)),
-        ManifestEntry(ManifestAction.REMOVE, 0, "ckpt-0-0-5-1.cb", Window(0, 5)),
-        ManifestEntry(ManifestAction.ADD, 2, "ckpt-2-3-9-4.cb", Window(3, 9),
-                      key_range=("alpha", "omega")),
+        ManifestEntry(-1, "wal-9.log", Window(9, None)),
+        ManifestEntry(0, "ckpt-4.cb", Window(0, 5)),
+        ManifestEntry(2, "ckpt-7.cb", Window(3, 9), key_range=("alpha", "omega")),
     ]
 
     def test_entry_codec_round_trip(self):
-        for ts, entries in ((7, []), (0, self.ENTRIES[:1]), ((1 << 64) - 1, self.ENTRIES)):
-            assert codec.decode_batch(codec.encode_batch(ts, entries)) == (ts, entries)
+        top = (1 << 64) - 1
+        for ts, fid, entries in ((7, 0, []), (0, 1, self.ENTRIES[:1]), (top, top, self.ENTRIES)):
+            data = codec.encode_layout(ts, fid, entries)
+            assert codec.decode_layout(data) == (ts, fid, entries)
+            (payload,), end = codec.scan_frames(data)  # one frame, the whole file
+            assert end == len(data) and payload[:1] == b"L"
 
-    def test_every_strict_prefix_of_a_batch_raises(self):
-        payload = codec.encode_batch(3, self.ENTRIES)
-        ends = {len(codec.encode_batch(3, self.ENTRIES[:n])) for n in range(4)}
+    def test_every_strict_prefix_of_the_file_raises(self):
+        """A strict prefix of the file fails its frame; a frame over a strict
+        prefix of the payload that ends inside an entry fails to decode."""
+        data = codec.encode_layout(3, 10, self.ENTRIES)
+        for cut in range(len(data)):
+            with pytest.raises(IntegrityError, match="bad manifest"):
+                codec.decode_layout(data[:cut])
+        (payload,), _ = codec.scan_frames(data)
+        ends = {len(codec.scan_frames(codec.encode_layout(3, 10, self.ENTRIES[:n]))[0][0])
+                for n in range(4)}
         for cut in range(len(payload)):
-            if cut in ends:  # a whole batch of fewer entries
+            if cut in ends:  # a whole layout of fewer entries
                 continue
-            with pytest.raises(IntegrityError, match="bad manifest batch"):
-                codec.decode_batch(payload[:cut])
+            with pytest.raises(IntegrityError, match="bad manifest"):
+                codec.decode_layout(codec.encode_frame(payload[:cut]))
 
     def test_add_then_remove_leaves_path_dead(self, tmp_path):
-        path = str(tmp_path / "MANIFEST")
-        log = ManifestLog(path)
-        log.append(0, [ManifestEntry(ManifestAction.ADD, -1, "wal-0.log", Window(0, None))])
-        log.append(4, [ManifestEntry(ManifestAction.REMOVE, -1, "wal-0.log", Window(0, 5)),
-                       ManifestEntry(ManifestAction.ADD, 0, "ckpt-6.cb", Window(0, 5))])
-        log.close()
-        log, batches = ManifestLog.recover(path)
-        log.close()
-        live, levels, fid, ts = replay_manifest(batches)
-        assert live == {}
-        assert list(levels[0]) == ["ckpt-6.cb"]
-        assert (fid, ts) == (7, 4)
-
-    def test_torn_last_batch_is_dropped_whole(self, tmp_path):
-        """A torn last batch is dropped whole and every batch before it replays."""
-        path = str(tmp_path / "MANIFEST")
-        log = ManifestLog(path)
-        log.append(0, [ManifestEntry(ManifestAction.ADD, -1, "wal-0.log", Window(0, None))])
-        log.append(2, [ManifestEntry(ManifestAction.ADD, 0, "ckpt-0-0-2-0.cb", Window(0, 2))])
-        whole = log.durable_offset
-        log.append(5, [ManifestEntry(ManifestAction.REMOVE, -1, "wal-0.log", Window(0, 6)),
-                       ManifestEntry(ManifestAction.ADD, 0, "ckpt-0-2-6-1.cb", Window(2, 6))])
-        log.close()
-        faults.truncate_file(path, -3)
-        for _ in range(2):
-            log, batches = ManifestLog.recover(path)
-            log.close()
-            assert os.path.getsize(path) == whole
-            live, levels, fid, ts = replay_manifest(batches)
-            assert set(live) == {"wal-0.log"}
-            assert list(levels[0]) == ["ckpt-0-0-2-0.cb"]
-            assert (fid, ts) == (1, 2)
+        """A MANIFEST that no longer names a file leaves it dead: the reopen
+        neither loads nor keeps it. The next fid and the timestamp come
+        from the MANIFEST, not from the names it holds."""
+        d = str(tmp_path / "db")
+        cfg = small_config(wmp_rotate_effects=1)
+        _manifest_of(d, [ManifestEntry(-1, "wal-0.log", Window(0, None))], fid=1)
+        CommitLog(os.path.join(d, "wal-0.log")).close()
+        Checkpoint({"k": Effect.assign(3)}, Window(0, 5)).persist(os.path.join(d, "ckpt-6.cb"))
+        CommitLog(os.path.join(d, "wal-7.log")).close()
+        _manifest_of(d, [ManifestEntry(0, "ckpt-6.cb", Window(0, 5)),
+                         ManifestEntry(-1, "wal-7.log", Window(5, None))], ts=4, fid=12)
+        manifest = _files(d)["MANIFEST"]
+        engine, floor = open_engine(d, cfg)
+        assert floor == 4
+        assert engine.layout()["live"] == [("wal-7.log", (5, None))]
+        assert [p for p, _, _ in engine.layout()["levels"][0]] == ["ckpt-6.cb"]
+        assert sorted(os.listdir(d)) == ["MANIFEST", "ckpt-6.cb", "wal-7.log"]
+        assert _files(d)["MANIFEST"] == manifest  # nothing to fold: no write
+        run_txn(engine, "a", 5, 5, [("k", Effect.incr(1))])  # rotates
+        engine.close()
+        ts, fid, entries = _manifest(d)
+        assert (ts, fid) == (5, 14)
+        assert {(e.level, e.path) for e in entries} == {
+            (0, "ckpt-6.cb"), (0, "ckpt-12.cb"), (-1, "wal-13.log")}
 
     def test_one_frame_per_batch(self, tmp_path, monkeypatch):
-        """Each batch is one frame, and a commit appends one batch for the
-        pass it runs, however many swaps and merges ride on its rotation."""
-        appended = []
-        real_append = ManifestLog.append
-
-        def append(log, ts, entries):
-            appended.append((ts, entries))
-            real_append(log, ts, entries)
-
-        monkeypatch.setattr(ManifestLog, "append", append)
+        """A commit writes the MANIFEST once for the pass it runs, however
+        many swaps and merges ride on its rotation, and the file is then one
+        frame holding the whole layout."""
+        written = recording_manifest_writes(monkeypatch)
         d = str(tmp_path / "db")
         engine = LevelledStore.create(d, small_config(live_capacity=2, wmp_rotate_effects=2))
-        assert len(appended) == 1  # the first pair's log
+        assert written == [(0, 1, [ManifestEntry(-1, "wal-0.log", Window(0, None))])]
         merged = 0
         for i in range(12):
-            before = len(appended), dict(engine.stats)
+            before = len(written), dict(engine.stats)
             run_txn(engine, f"t{i}", i + 1, i + 1, [(f"k{i % 3}", Effect.incr(1)),
                                                     (f"j{i % 5}", Effect.assign(i))])
             moved = {k: engine.stats[k] - before[1][k]
                      for k in ("rotations", "live_checkpoints", "level_merges")}
             assert moved["rotations"] == 1, i
-            assert len(appended) - before[0] == 1, (i, moved)
+            assert len(written) - before[0] == 1, (i, moved)
             merged += moved["level_merges"] > 0
+            ts, fid, entries = _manifest(d)
+            assert (ts, fid, entries) == written[-1]
+            assert (ts, fid) == (i + 1, engine._fid)
+            assert set(entries) == _layout_entries(engine) and len(entries) == len(set(entries))
         engine.close()
         assert merged and engine.stats["live_checkpoints"] == 11
-        assert len(appended) == 1 + 12
-        with open(os.path.join(d, "MANIFEST"), "rb") as f:
-            frames, _ = codec.scan_frames(f.read())
-        assert [codec.decode_batch(p) for p in frames] == appended
 
     def test_journal_layout_and_undecodable_frames_raise_and_keep_file(self, tmp_path):
+        """A MANIFEST in an earlier layout (a journal, or a log of edit
+        batches), one of two frames, or one whose frame holds no well-formed
+        layout is refused, and no file changes."""
         d = str(tmp_path / "db")
         LevelledStore.create(d).close()
         mpath = os.path.join(d, "MANIFEST")
         with open(mpath, "rb") as f:
             good = f.read()
-        payload = codec.encode_batch(0, self.ENTRIES)
-        for data in (_JOURNAL_LAYOUT_MANIFEST,
-                     good + codec.encode_frame(b"M" + payload[1:]),  # a bad tag
-                     good + codec.encode_frame(payload[:-3])):  # a truncated entry
+        (payload,), _ = codec.scan_frames(codec.encode_layout(0, 1, self.ENTRIES))
+        for data in (_JOURNAL_LAYOUT_MANIFEST, _BATCH_LAYOUT_MANIFEST,
+                     _BATCH_LAYOUT_MANIFEST + codec.encode_frame(payload),
+                     good + good,  # two frames
+                     codec.encode_frame(b"m" + payload[1:]),  # the batch tag
+                     codec.encode_frame(payload[:-3])):  # a truncated entry
             with open(mpath, "wb") as f:
                 f.write(data)
             before = _files(d)
             for _ in range(2):
-                with pytest.raises(IntegrityError, match="bad manifest batch"):
+                with pytest.raises(IntegrityError, match="bad manifest"):
                     open_engine(d)
                 assert _files(d) == before
 
     def test_write_less_trailing_log_dropped_keeps_its_cts(self, tmp_path):
         """A trailing log whose commits wrote nothing, and whose window does
         not start where the checkpoints end, is dropped on reopen; the
-        recovery batch's timestamp keeps its commit timestamps, so a
+        rewritten MANIFEST's timestamp keeps its commit timestamps, so a
         second reopen still restarts above them."""
         d = str(tmp_path / "db")
-        _manifest_of(d, [ManifestEntry(ManifestAction.ADD, -1, "wal-9.log", Window(9, None))])
+        _manifest_of(d, [ManifestEntry(-1, "wal-9.log", Window(9, None))])
         log = CommitLog(os.path.join(d, "wal-9.log"))
         for ct in range(9, 31):
             log.do_commit(TransactionDescriptor(f"t{ct}", st=ct - 1, ct=ct))
@@ -1002,6 +1031,7 @@ class TestManifest:
         assert window == (0, None)
         engine.close()
         assert not os.path.exists(os.path.join(d, "wal-9.log"))
+        assert _manifest(d)[0] == 30
         engine, floor = open_engine(d, small_config())
         assert floor >= 30
         engine.close()
@@ -1013,49 +1043,58 @@ class TestManifest:
         for i in range(5):
             run_txn(engine, f"t{i}", max(0, i - 1), i, [])
         engine.close()
-        real = _FrameFile.__dict__["scan"].__func__
+        real = CommitLog.scan
         scanned = []
 
-        def counting(cls, path):
+        def counting(path):
             scanned.append(os.path.basename(path))
-            return real(cls, path)
-        monkeypatch.setattr(_FrameFile, "scan", classmethod(counting))
+            return real(path)
+        monkeypatch.setattr(CommitLog, "scan", staticmethod(counting))
         engine, floor = open_engine(d, small_config())
-        assert sorted(scanned) == ["MANIFEST", "wal-0.log"]
+        assert scanned == ["wal-0.log"]
         assert floor == 4
         assert [w for w, _ in engine.layout()["live"]] == ["wal-0.log"]
         run_txn(engine, "t5", 4, 5, [("k", Effect.incr(1))])
         assert effect_at(engine, "k", 6) == (None, 1)
         engine.close()
 
-    def test_replay_reconstructs_live_layout(self, tmp_path):
+    def test_reopen_keeps_level_0_in_age_order(self, tmp_path):
         """The MANIFEST names the accepting pair's log, and each sealed live
-        pair by its flushed checkpoint at level 0, after the level's own."""
+        pair by its flushed checkpoint at level 0, listed before the older
+        checkpoints of level 0 itself. A reopen orders level 0 by window,
+        oldest first, so its reads equal the oracle's."""
         d = str(tmp_path / "db")
-        engine = LevelledStore.create(d, small_config(live_capacity=2,
-                                                      wmp_rotate_effects=2))
+        cfg = small_config(live_capacity=2, wmp_rotate_effects=2)
+        engine = LevelledStore.create(d, cfg)
         trace = generate_trace(seed=12, txn_count=30, max_concurrency=1,
                                eager_notify=True)
         replay(engine, trace)
         want = engine.layout()
         flushed = flushed_paths(engine)
         engine.close()
-        assert len(want["live"]) == 2 and len(flushed) == 1
-        manifest, batches = ManifestLog.recover(os.path.join(d, "MANIFEST"))
-        manifest.close()
-        live, levels, _, _ = replay_manifest(batches)
-        assert [e.path for e in live.values()] == [want["live"][-1][0]]
-        assert [e.path for e in levels[0].values()] == [
-            p for p, _, _ in want["levels"][0]] + flushed
-        for lvl, row in enumerate(levels[1:], 1):
-            assert [e.path for e in row.values()] == [
+        l0 = [p for p, _, _ in want["levels"][0]]
+        assert len(want["live"]) == 2 and len(flushed) == 1 and l0
+        _, _, entries = _manifest(d)
+        assert [e.path for e in entries if e.level == -1] == [want["live"][-1][0]]
+        assert [e.path for e in entries if e.level == 0] == flushed + l0
+        for lvl in range(1, len(want["levels"])):
+            assert [e.path for e in entries if e.level == lvl] == [
                 p for p, _, _ in want["levels"][lvl]]
+        for _ in range(2):
+            engine, _ = open_engine(d, cfg)
+            row = engine.layout()["levels"][0]
+            assert [p for p, _, _ in row][:len(l0) + 1] == l0 + flushed
+            assert [w for _, w, _ in row] == sorted(w for _, w, _ in row)
+            assert all(a[1] <= b[0] for (_, a, _), (_, b, _) in zip(row, row[1:]))
+            check_against_oracle(engine, trace)
+            engine.close()
 
-    def test_every_batch_is_a_layout_diff(self, tmp_path):
-        """Each batch names a (level, name) at most once, replaying them gives
-        the layout level by level (a sealed live pair as its flushed level-0
-        checkpoint), the MANIFEST never names two logs, and every file takes
-        its name from the one counter."""
+    def test_the_manifest_is_the_layout(self, tmp_path, monkeypatch):
+        """Every MANIFEST written names each (level, name) once and one log;
+        the last one is the layout level by level (a sealed live pair as its
+        flushed level-0 checkpoint) and names every file in the directory,
+        each named from the one counter below the recorded next fid."""
+        written = recording_manifest_writes(monkeypatch)
         d = str(tmp_path / "db")
         engine = LevelledStore.create(d, small_config(
             live_capacity=3, wmp_rotate_effects=3, level_capacities=(1, 2, 1 << 30)))
@@ -1063,29 +1102,21 @@ class TestManifest:
                                       eager_notify=True))
         stats = engine.stats
         assert min(stats["rotations"], stats["live_checkpoints"], stats["level_merges"]) > 3
-        want = engine.layout()
-        flushed = flushed_paths(engine)
+        want = _layout_entries(engine)
+        assert len(flushed_paths(engine)) == 2
         engine.close()
-        assert len(flushed) == 2
-        batches, _ = ManifestLog.scan(os.path.join(d, "MANIFEST"))
-        live = set()
-        for _, entries in batches:
+        for _, _, entries in written:
             named = [(e.level, e.path) for e in entries]
             assert len(set(named)) == len(named), named
-            for e in entries:
-                if e.level == -1:
-                    (live.add if e.action == ManifestAction.ADD else live.discard)(e.path)
-            assert len(live) == 1, live
-        live, levels, fid, _ = replay_manifest(batches)
-        assert list(live) == [want["live"][-1][0]]
-        want_levels = [[p for p, _, _ in row] for row in want["levels"]]
-        want_levels[0] += flushed
-        assert [list(row) for row in levels] == want_levels
+            assert [lvl for lvl, _ in named].count(-1) == 1, named
+        _, fid, entries = _manifest(d)
+        assert written[-1] == _manifest(d)
+        assert set(entries) == want
         names = set(os.listdir(d)) - {"MANIFEST"}
-        assert names == set(live).union(*levels)
+        assert names == {e.path for e in entries}
         assert all(re.fullmatch(r"wal-\d+\.log|ckpt-\d+\.cb", n) for n in names), names
         fids = [int(n[5:-3]) if n.startswith("ckpt-") else int(n[4:-4]) for n in names]
-        assert max(fids) == fid - 1
+        assert max(fids) < fid
 
 
 def flushed_paths(engine) -> list[str]:
@@ -1158,19 +1189,27 @@ class TestRecovery:
             assert effect_at(engine, f"k{k}", floor + 1) == (None, len(range(k, 200, 13)))
         engine.close()
 
-    def test_torn_manifest_tail_is_cut(self, tmp_path):
+    def test_torn_manifest_raises_and_keeps_file(self, tmp_path):
+        """A MANIFEST is replaced whole by a rename, so no crash tears it:
+        bytes after its frame, or a frame cut short, are damage, refused
+        with no file changed."""
         d = str(tmp_path / "db")
-        build_engine_dir(d, compact_every=12)
+        trace = build_engine_dir(d, compact_every=12)
         mpath = os.path.join(d, "MANIFEST")
         with open(mpath, "rb") as f:
             whole = f.read()
-        with open(mpath, "ab") as f:
-            f.write(b"CBLE\x40\x00\x00\x00torn")
+        for data in (whole + b"CBLE\x40\x00\x00\x00torn", whole[:-3]):
+            with open(mpath, "wb") as f:
+                f.write(data)
+            before = _files(d)
+            with pytest.raises(IntegrityError, match="bad manifest"):
+                recover_engine(d, small_config())
+            assert _files(d) == before
+        with open(mpath, "wb") as f:
+            f.write(whole)
         engine, _ = recover_engine(d, small_config())
+        check_against_oracle(engine, trace)
         engine.close()
-        with open(mpath, "rb") as f:
-            data = f.read()
-        assert data.startswith(whole) and b"torn" not in data[len(whole):]
 
     def test_missing_checkpoint_raises_integrity_error(self, tmp_path):
         d = str(tmp_path / "db")
@@ -1183,8 +1222,8 @@ class TestRecovery:
             recover_engine(d, small_config())
 
     def test_a_refused_open_closes_every_handle(self, tmp_path, monkeypatch):
-        """recover_engine closes the MANIFEST (and any log) it opened when a
-        later step raises."""
+        """recover_engine opens no log before its checks pass, and closes the
+        log it opened when a later step raises."""
         refused = str(tmp_path / "overlap")
         _manifest_of(refused, [TestLevelChecksOnOpen._l1("ckpt-1.cb", ("a", "f")),
                                TestLevelChecksOnOpen._l1("ckpt-2.cb", ("c", "m"), 5)])
@@ -1194,12 +1233,19 @@ class TestRecovery:
         victim = next(path for row in engine.layout()["levels"] for path, _, _ in row)
         engine.close()
         os.remove(os.path.join(missing, victim))
+        ok = str(tmp_path / "ok")
+        build_engine_dir(ok, compact_every=12)
         opened = recording_logs(monkeypatch)
         for d in (refused, missing):
             with pytest.raises(IntegrityError):
                 recover_engine(d, small_config())
-            assert [log.path for log in opened] == [os.path.join(d, "MANIFEST")]
-            assert opened.pop()._f.closed
+            assert opened == []
+        faults.install_plan(FaultPlan().arm("during-recovery-step-4", CrashProcess()))
+        with pytest.raises(InjectedCrash):
+            recover_engine(ok, small_config())
+        faults.clear_plan()
+        (log,) = opened
+        assert log._f.closed
 
     def test_crash_before_rotation_manifest_keeps_data(self, tmp_path):
         d = str(tmp_path / "db")
@@ -1265,12 +1311,17 @@ class TestRecovery:
             engine.close()
 
 
-def _manifest_of(d: str, entries: list[ManifestEntry]) -> None:
-    """Write a MANIFEST holding entries as one batch."""
+def _manifest_of(d: str, entries: list[ManifestEntry], ts: int = 0, fid: int = 100) -> None:
+    """Write a MANIFEST naming entries, with its timestamp and next fid."""
     os.makedirs(d, exist_ok=True)
-    log = ManifestLog(os.path.join(d, "MANIFEST"))
-    log.append(0, entries)
-    log.close()
+    with open(os.path.join(d, "MANIFEST"), "wb") as f:
+        f.write(codec.encode_layout(ts, fid, entries))
+
+
+def _manifest(d: str) -> tuple[int, int, list[ManifestEntry]]:
+    """(ts, next fid, entries) of the MANIFEST in d."""
+    with open(os.path.join(d, "MANIFEST"), "rb") as f:
+        return codec.decode_layout(f.read())
 
 
 class TestLevelChecksOnOpen:
@@ -1279,7 +1330,7 @@ class TestLevelChecksOnOpen:
 
     @staticmethod
     def _l1(path, key_range, lo=0):
-        return ManifestEntry(ManifestAction.ADD, 1, path, Window(lo, lo + 5), key_range)
+        return ManifestEntry(1, path, Window(lo, lo + 5), key_range)
 
     def _refused(self, d, *names):
         before = _files(d)
@@ -1329,15 +1380,15 @@ class TestLevelChecksOnOpen:
 
 
 def recording_logs(monkeypatch) -> list:
-    """Every CommitLog and ManifestLog the engine module opens from now on,
-    in the order opened."""
+    """Every CommitLog the engine module opens from now on, in the order
+    opened."""
     opened = []
-    for name in ("CommitLog", "ManifestLog"):
-        class Recording(getattr(cobble.engine, name)):
-            def __init__(self, *args, **kw):
-                super().__init__(*args, **kw)
-                opened.append(self)
-        monkeypatch.setattr(cobble.engine, name, Recording)
+
+    class Recording(cobble.engine.CommitLog):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            opened.append(self)
+    monkeypatch.setattr(cobble.engine, "CommitLog", Recording)
     return opened
 
 
@@ -1443,8 +1494,8 @@ class TestRecoveryFold:
             engine.close()
 
     def test_manifest_naming_two_live_logs_raises(self, tmp_path):
-        """A rotation removes the sealed log in the batch that adds the next,
-        so a MANIFEST naming two live logs is refused, as is a damaged
+        """A rotation names the next log in place of the sealed one, so a
+        MANIFEST naming two live logs is refused, as is a damaged
         flushed checkpoint; neither open changes a file. Damage at the end
         of the one log is a torn tail: cut, losing the commit in it."""
         d = str(tmp_path / "db")
@@ -1459,9 +1510,8 @@ class TestRecoveryFold:
         good = _files(d)
 
         shutil.copy(os.path.join(d, log), os.path.join(d, "wal-99.log"))
-        mlog, _ = ManifestLog.recover(os.path.join(d, "MANIFEST"))
-        mlog.append(6, [ManifestEntry(ManifestAction.ADD, -1, "wal-99.log", Window(7, None))])
-        mlog.close()
+        ts, fid, entries = _manifest(d)
+        _manifest_of(d, entries + [ManifestEntry(-1, "wal-99.log", Window(7, None))], ts, fid)
         before = _files(d)
         for _ in range(2):
             with pytest.raises(IntegrityError, match="2 live logs") as exc:
@@ -1497,9 +1547,7 @@ def _only_named_files_then_idempotent(d: str, cfg: EngineConfig, reads: dict) ->
     engine, floor = open_engine(d, cfg)
     assert {k: effect_at(engine, k, floor + 1) for k in reads} == reads
     engine.close()
-    batches, _ = ManifestLog.scan(os.path.join(d, "MANIFEST"))
-    live, levels, _, _ = replay_manifest(batches)
-    assert set(os.listdir(d)) == {"MANIFEST"}.union(live, *levels)
+    assert set(os.listdir(d)) == {"MANIFEST"} | {e.path for e in _manifest(d)[2]}
     once = _files(d)
     engine, _ = open_engine(d, cfg)
     engine.close()
@@ -1532,7 +1580,7 @@ class TestOrphans:
         assert not left & set(os.listdir(d))
 
     def test_log_of_a_failed_rotation_is_swept_on_reopen(self, tmp_path, monkeypatch):
-        """A rotation that dies before its MANIFEST batch closes the log it
+        """A rotation that dies before its MANIFEST write closes the log it
         opened; that log and the checkpoint it built are swept on reopen. A
         rotation that fails instead unlinks them itself."""
         for action in (FailFlush(), CrashProcess()):
@@ -1562,9 +1610,10 @@ class TestOrphans:
 
 
 class TestFlushAtSeal:
-    """A rotation persists the sealed pair's checkpoint, and its pass logs
-    one batch: ADD it at level 0, REMOVE the sealed log, ADD the next log.
-    The pair stays live until a swap, which changes no name."""
+    """A rotation persists the sealed pair's checkpoint, and its pass writes
+    the MANIFEST once, naming that checkpoint at level 0 and the next log in
+    place of the sealed one. The pair stays live until a swap, which changes
+    no name and so writes no MANIFEST."""
 
     cfg = small_config(live_capacity=3, wmp_rotate_effects=2)
 
@@ -1588,21 +1637,17 @@ class TestFlushAtSeal:
         trace = Trace(list(steps))
         return {k: valuation_effect(trace, k, trace.max_ct() + 1) for k in trace.keys()}
 
-    def test_rotation_logs_one_batch_and_the_swap_none(self, tmp_path):
+    def test_rotation_logs_one_batch_and_the_swap_none(self, tmp_path, monkeypatch):
+        written = recording_manifest_writes(monkeypatch)
         d = str(tmp_path / "db")
         engine = LevelledStore.create(d, self.cfg)
         steps = []
-        mpath = os.path.join(d, "MANIFEST")
         self._commit(engine, steps, 0, self._updates(0))
-        size = os.path.getsize(mpath)
+        assert len(written) == 1  # the first log's, at create
         self._commit(engine, steps, 1, self._updates(1))  # seals [0, 2)
-        assert engine.stats["rotations"] == 1
-        (_, entries), = ManifestLog.scan(mpath)[0][-1:]
-        assert [(e.action, e.level, e.path) for e in entries] == [
-            (ManifestAction.REMOVE, -1, "wal-0.log"),
-            (ManifestAction.ADD, 0, "ckpt-1.cb"),
-            (ManifestAction.ADD, -1, "wal-2.log")]
-        assert os.path.getsize(mpath) > size
+        assert engine.stats["rotations"] == 1 and len(written) == 2
+        assert [(e.level, e.path) for e in _manifest(d)[2]] == [
+            (0, "ckpt-1.cb"), (-1, "wal-2.log")]
         assert sorted(os.listdir(d)) == ["MANIFEST", "ckpt-1.cb", "wal-2.log"]
         # the sealed pair still answers reads inside its window
         assert [w for _, w in engine.layout()["live"]] == [(0, 2), (2, None)]
@@ -1614,12 +1659,10 @@ class TestFlushAtSeal:
         for i in range(2, 6):  # the third rotation's pass swaps [0, 2) in
             self._commit(engine, steps, i, self._updates(i))
         assert engine.stats["rotations"] == 3 and engine.stats["live_checkpoints"] == 1
-        # the pass's one batch holds the rotation's names and nothing for the swap
-        (_, entries), = ManifestLog.scan(mpath)[0][-1:]
-        assert [(e.action, e.level, e.path) for e in entries] == [
-            (ManifestAction.REMOVE, -1, "wal-4.log"),
-            (ManifestAction.ADD, 0, "ckpt-5.cb"),
-            (ManifestAction.ADD, -1, "wal-6.log")]
+        # one write per rotation: the swap riding on the third one adds none
+        assert len(written) == 4
+        assert [(e.level, e.path) for e in _manifest(d)[2]] == [
+            (0, "ckpt-3.cb"), (0, "ckpt-5.cb"), (-1, "wal-6.log"), (0, "ckpt-1.cb")]
         assert [w for _, w in engine.layout()["live"]] == [(2, 4), (4, 6), (6, None)]
         assert [p for p, _, _ in engine.layout()["levels"][0]] == ["ckpt-1.cb"]
         assert engine.horizon == 2
@@ -1725,7 +1768,7 @@ class TestFailedPass:
         with monkeypatch.context() as m:
             if where == "merge-persist":
                 self._failing_merge_persist(m)
-            elif where == "manifest-append":  # the commit's own fsync, then the batch's
+            elif where == "manifest-append":  # the commit's own fsync, then the MANIFEST's
                 faults.install_plan(FaultPlan().arm("before-flush", faults.Noop())
                                     .arm("before-flush", FailFlush()))
             else:
@@ -1742,11 +1785,10 @@ class TestFailedPass:
         assert all(log._f.closed and not os.path.exists(log.path)
                    for log in opened[n_logs:])
         TestFlushAtSeal._commit(engine, steps, 5, self._updates(5))
-        if where != "manifest-append":  # a failed MANIFEST stays failed until a reopen
-            assert engine.compaction_error is None
-            assert engine.stats["rotations"] == stats["rotations"] + 1
-            assert engine.stats["level_merges"] == stats["level_merges"] + 1
-            check_against_oracle(engine, Trace(list(steps)))
+        assert engine.compaction_error is None
+        assert engine.stats["rotations"] == stats["rotations"] + 1
+        assert engine.stats["level_merges"] == stats["level_merges"] + 1
+        check_against_oracle(engine, Trace(list(steps)))
         engine.close()
         _only_named_files_then_idempotent(d, self.cfg, TestFlushAtSeal._reads(steps))
 
@@ -1768,6 +1810,124 @@ class TestFailedPass:
         assert engine.compaction_error is None and engine.stats["rotations"] == 1
         assert effect_at(engine, "k", 1) == (1, 0)
         engine.close()
+
+
+def recording_file_ops(monkeypatch) -> list:
+    """Every fsync (by file name, "dir" for a directory), rename and unlink
+    the process makes from now on, in order."""
+    ops = []
+    real_fsync, real_replace, real_remove = os.fsync, os.replace, os.remove
+
+    def fsync(fd):
+        target = os.readlink(f"/proc/self/fd/{fd}")
+        ops.append(("fsync", "dir" if os.path.isdir(target) else os.path.basename(target)))
+        real_fsync(fd)
+
+    def replace(src, dst, *args, **kw):
+        ops.append(("rename", os.path.basename(src), os.path.basename(dst)))
+        real_replace(src, dst, *args, **kw)
+
+    def remove(path, *args, **kw):
+        ops.append(("remove", os.path.basename(path)))
+        real_remove(path, *args, **kw)
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    monkeypatch.setattr(os, "remove", remove)
+    return ops
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="names fds through /proc")
+class TestManifestDurability:
+    """A pass makes its new files durable, then the MANIFEST naming them,
+    then unlinks what the old layout named: its checkpoints' fsyncs, the
+    fsync of MANIFEST.tmp, a directory fsync, the rename over MANIFEST and
+    a second directory fsync, before any unlink."""
+
+    cfg = TestFailedPass.cfg
+
+    def _engine(self, d):
+        """An engine whose next commit's pass rotates, swaps and merges."""
+        engine = LevelledStore.create(d, self.cfg)
+        steps = []
+        for i in range(4):
+            TestFlushAtSeal._commit(engine, steps, i, TestFailedPass._updates(i))
+        return engine, steps
+
+    def test_a_pass_syncs_its_files_then_renames_then_unlinks(self, tmp_path, monkeypatch):
+        d = str(tmp_path / "db")
+        engine, steps = self._engine(d)
+        before = set(os.listdir(d))
+        merges, tail = engine.stats["level_merges"], engine.layout()["live"][-1][0]
+        ops = recording_file_ops(monkeypatch)
+        TestFlushAtSeal._commit(engine, steps, 4, TestFailedPass._updates(4))
+        assert engine.stats["level_merges"] == merges + 1
+        new = set(os.listdir(d)) - before
+        assert ops[0] == ("fsync", tail)  # the commit's own
+        ops = ops[1:]
+        tmp = ops.index(("fsync", "MANIFEST.tmp"))
+        rename = ops.index(("rename", "MANIFEST.tmp", "MANIFEST"))
+        # every checkpoint the pass wrote, a rotation's and a merge's, then the MANIFEST
+        assert sorted(name for _, name in ops[:tmp]) == sorted(
+            n for n in new if n.startswith("ckpt-")) and len(ops[:tmp]) >= 2
+        assert ops[tmp + 1:rename + 2] == [
+            ("fsync", "dir"), ("rename", "MANIFEST.tmp", "MANIFEST"), ("fsync", "dir")]
+        unlinked = ops[rename + 2:]
+        assert unlinked and all(op == "remove" for op, _ in unlinked)
+        assert {name for _, name in unlinked} == before - set(os.listdir(d))
+        engine.close()
+        _only_named_files_then_idempotent(d, self.cfg, TestFlushAtSeal._reads(steps))
+
+    @pytest.mark.parametrize("action", [CrashProcess(), FailFlush()],
+                             ids=["crash", "oserror"])
+    def test_a_fault_before_the_rename_keeps_the_old_layout(self, tmp_path, action):
+        """At MANIFEST.tmp's before-flush: a crash leaves the old MANIFEST
+        and recovery sweeps MANIFEST.tmp and the pass's files; an OSError
+        removes MANIFEST.tmp itself, and the layout stays as it was."""
+        d = str(tmp_path / "db")
+        engine, steps = self._engine(d)
+        layout, files = engine.layout(), _files(d)
+        faults.install_plan(FaultPlan().arm("before-flush", faults.Noop())  # the commit's
+                            .arm("before-flush", action))  # MANIFEST.tmp's
+        try:
+            TestFlushAtSeal._commit(engine, steps, 4, TestFailedPass._updates(4))
+        except InjectedCrash:
+            assert isinstance(action, CrashProcess)
+        faults.clear_plan()
+        now = _files(d)
+        assert now["MANIFEST"] == files["MANIFEST"]
+        assert {**engine.layout(), "last_ct": 3} == layout
+        if isinstance(action, CrashProcess):
+            left = set(now) - set(files)
+            assert "MANIFEST.tmp" in left and any(n.startswith("ckpt-") for n in left)
+        else:
+            assert set(now) == set(files) and engine.stats["failed_passes"] == 1
+        engine.close()
+        _only_named_files_then_idempotent(d, self.cfg, TestFlushAtSeal._reads(steps))
+
+    def test_a_failed_last_fsync_leaves_the_old_files(self, tmp_path, monkeypatch):
+        """When only the directory fsync after the rename fails, the pass is
+        done, but nothing the old MANIFEST names is unlinked until recovery
+        sweeps it."""
+        d = str(tmp_path / "db")
+        engine, steps = self._engine(d)
+        before = set(os.listdir(d))
+        real_fsync = os.fsync
+        renamed = []
+        monkeypatch.setattr(os, "replace", lambda *a: (renamed.append(a), os.rename(*a)))
+
+        def fsync(fd):
+            if renamed and os.path.isdir(os.readlink(f"/proc/self/fd/{fd}")):
+                raise OSError("injected directory fsync failure")
+            real_fsync(fd)
+        monkeypatch.setattr(os, "fsync", fsync)
+        TestFlushAtSeal._commit(engine, steps, 4, TestFailedPass._updates(4))
+        monkeypatch.undo()
+        assert engine.compaction_error is None and renamed
+        named = {e.path for e in _manifest(d)[2]}
+        assert set(os.listdir(d)) == named | before and before - named - {"MANIFEST"}
+        check_against_oracle(engine, Trace(list(steps)))
+        engine.close()
+        _only_named_files_then_idempotent(d, self.cfg, TestFlushAtSeal._reads(steps))
 
 
 class TestLiveThreaded:

@@ -1,5 +1,5 @@
-"""Persistent journal and commit log: framing codecs, durability, and crash
-recovery."""
+"""Persistent journal, commit log and whole-file replacement: framing
+codecs, durability, and crash recovery."""
 
 import os
 import pathlib
@@ -16,10 +16,11 @@ from cobble.engine import LevelledStore, open_engine
 from cobble.faults import CorruptBytes, FailFlush, FaultPlan, TruncateAt
 from cobble.memory import JournalStore, MapStore
 from cobble.oracle import generate_trace, replay, valuation_effect
-from cobble.persistent import CommitLog, PersistentJournal
+from cobble.persistent import CommitLog, PersistentJournal, replace_file
 from cobble.store import (
     IntegrityError,
     JournalRecord,
+    ManifestEntry,
     RecordKind,
     StoreError,
     TransactionDescriptor,
@@ -44,9 +45,10 @@ class TestRecordCodec:
     def test_round_trip(self):
         for rec in self.RECORDS:
             assert codec.decode_record(codec.encode_record(rec)) == rec
-        # kind 4 was the engine's MANIFEST record, now a frame log of its own
-        for payload in (b"\x04\x02\x00m1" + bytes(8) + b"\x01\x02\x00",
-                        codec.encode_batch(4, [])):
+        # kind 4 was the engine's MANIFEST record, now a file of its own
+        (layout,), _ = codec.scan_frames(codec.encode_layout(
+            4, 1, [ManifestEntry(-1, "wal-0.log", Window(0, None))]))
+        for payload in (b"\x04\x02\x00m1" + bytes(8) + b"\x01\x02\x00", layout):
             with pytest.raises(IntegrityError, match="bad record payload"):
                 codec.decode_record(payload)
 
@@ -458,6 +460,52 @@ class TestCommitLog:
             CommitLog(path)
         with pytest.raises(StoreError):
             CommitLog.recover(str(tmp_path / "nope.log"))
+
+
+class TestReplaceFile:
+    """replace_file swaps a file's whole content through a rename."""
+
+    def test_replaces_the_content_and_leaves_no_temp_file(self, tmp_path):
+        path = str(tmp_path / "f")
+        for data in (b"first", b"second, longer", b""):
+            assert replace_file(path, data) is True
+            assert pathlib.Path(path).read_bytes() == data
+            assert os.listdir(tmp_path) == ["f"]
+
+    def test_an_error_before_the_rename_keeps_the_old_content(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "f")
+        replace_file(path, b"old")
+        faults.install_plan(FaultPlan().arm("before-flush", FailFlush()))
+        with pytest.raises(OSError):
+            replace_file(path, b"new")
+        faults.clear_plan()
+
+        def refuse(src, dst):
+            raise OSError("injected rename failure")
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="rename"):
+            replace_file(path, b"new")
+        assert pathlib.Path(path).read_bytes() == b"old"
+        assert os.listdir(tmp_path) == ["f"]
+
+    def test_only_the_last_fsync_failing_returns_false(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "f")
+        replace_file(path, b"old")
+        real_fsync, real_replace = os.fsync, os.replace
+        renamed = []
+
+        def replace(src, dst):
+            renamed.append(dst)
+            real_replace(src, dst)
+
+        def fsync(fd):
+            if renamed:
+                raise OSError("injected fsync failure")
+            real_fsync(fd)
+        monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(os, "fsync", fsync)
+        assert replace_file(path, b"new") is False
+        assert pathlib.Path(path).read_bytes() == b"new"
 
 
 # the commit payload of (st 2, ct 4, {"k": incr 1}) in the fixed-width

@@ -360,9 +360,13 @@ class TestCli:
         d = str(tmp_path / "db")
         engine = LevelledStore.create(d, EngineConfig())
         engine.close()
+        size = os.path.getsize(os.path.join(d, "MANIFEST"))
         assert main(["recover", "--dir", d]) == 0
         out = capsys.readouterr().out
         assert "recovered" in out and "live" in out
+        # a fresh engine's one log took fid 0, and the reopen changed no file
+        assert f"  MANIFEST  {size} B  next fid 1\n" in out
+        assert os.path.getsize(os.path.join(d, "MANIFEST")) == size
 
     def test_recover_command_reports_checkpoint_sizes(self, tmp_path, capsys):
         d = str(tmp_path / "db")

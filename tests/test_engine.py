@@ -925,13 +925,17 @@ class TestManifest:
             assert end == len(data) and payload[:1] == b"L"
 
     def test_every_strict_prefix_of_the_file_raises(self):
-        """A strict prefix of the file fails its frame; a frame over a strict
-        prefix of the payload that ends inside an entry fails to decode."""
+        """A strict prefix of the file fails its frame."""
         data = codec.encode_layout(3, 10, self.ENTRIES)
         for cut in range(len(data)):
             with pytest.raises(IntegrityError, match="bad manifest"):
                 codec.decode_layout(data[:cut])
-        (payload,), _ = codec.scan_frames(data)
+
+    def test_every_strict_prefix_of_a_batch_raises(self):
+        """The one batch a pass writes is the whole layout: a frame over a
+        strict prefix of its payload that ends inside an entry fails to
+        decode."""
+        (payload,), _ = codec.scan_frames(codec.encode_layout(3, 10, self.ENTRIES))
         ends = {len(codec.scan_frames(codec.encode_layout(3, 10, self.ENTRIES[:n]))[0][0])
                 for n in range(4)}
         for cut in range(len(payload)):
@@ -939,6 +943,28 @@ class TestManifest:
                 continue
             with pytest.raises(IntegrityError, match="bad manifest"):
                 codec.decode_layout(codec.encode_frame(payload[:cut]))
+
+    def test_torn_last_batch_is_dropped_whole(self, tmp_path):
+        """A crash while the last batch is written leaves it torn in
+        MANIFEST.tmp: recovery deletes it whole and recovers the layout of
+        the MANIFEST before it, as if the batch had never been written."""
+        d, ref = str(tmp_path / "db"), str(tmp_path / "ref")
+        trace = build_engine_dir(d, compact_every=12)
+        shutil.copytree(d, ref)
+        ts, fid, entries = _manifest(d)
+        nxt = codec.encode_layout(ts + 5, fid + 2, entries + [
+            ManifestEntry(0, f"ckpt-{fid}.cb", Window(ts, ts + 5))])
+        with open(os.path.join(d, "MANIFEST.tmp"), "wb") as f:
+            f.write(nxt[:-3])
+        want, _ = recover_engine(ref, small_config())
+        want.close()
+        for _ in range(2):
+            engine, highest = recover_engine(d, small_config())
+            assert highest >= trace.max_ct()
+            assert engine.layout() == want.layout()
+            check_against_oracle(engine, trace)
+            engine.close()
+            assert _files(d) == _files(ref)
 
     def test_add_then_remove_leaves_path_dead(self, tmp_path):
         """A MANIFEST that no longer names a file leaves it dead: the reopen

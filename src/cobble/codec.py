@@ -1,10 +1,15 @@
 """Binary codecs: journal record and commit frames, the MANIFEST file, and
 map/checkpoint files.
 
-Frame layout: magic "CBLE" | u32le payload length | payload | u32le CRC-32
-(IEEE, over the payload only). A scan stops at the first frame that fails
-magic, bounds, CRC, or record decoding; everything before it is the valid
-prefix.
+Frame layout: payload length n as a varint | payload | u32le CRC-32 (IEEE,
+over the length bytes and the payload). The varint is LEB128: seven bits a
+byte, low group first, the high bit set on every byte but the last, at most
+5 bytes; so a payload under 128 B takes 5 B of framing. n = 0 is invalid,
+and since the CRC covers the length, no run of zero bytes is a valid frame.
+A scan stops at the first frame that fails bounds, CRC, or record
+decoding; everything before it is the valid prefix. There is no magic: a
+frame in the layout this one replaced began with "CBLE", which no frame of
+this layout's logs does, and a log that begins so is refused.
 
 Commit payload (one per committed transaction in a commit log), each
 integer little-endian in the bytes it needs: tag "c" | head byte | ct |
@@ -37,14 +42,18 @@ u16 length and UTF-8. A MANIFEST in an earlier layout (a log of journal
 records, or of "m"-tagged batches of layout edits) is refused.
 
 Map (checkpoint) file layout, little-endian on every host: magic
-"CBLMAP02" | u64 window.lo | u64 window.hi | u32 entry count n | u32 key
-blob length | key blob | n flag bytes | n i64 bases | n i64 deltas | u32
-CRC-32 over everything after the magic. The key blob is the n keys in
-UTF-8, strictly ascending by code point (which UTF-8 byte order keeps),
-joined by NUL, which no key contains. Entry i is keys[i] with effect
-(bases[i] if flags[i] else None, deltas[i]); a base is 0 where its flag is
-0. A store keeps one consolidated effect per key at its window top, so the
-window is stored once per file, and no version, ct or st per entry.
+"CBLMAP03" | u64 window.lo | u64 window.hi | u32 entry count n | u32 key
+blob length | u8 base width wb | u8 delta width wd | key blob | n flag
+bytes | n bases, wb bytes each | n deltas, wd bytes each | u32 CRC-32 over
+everything after the magic. The key blob is the n keys in UTF-8, strictly
+ascending by code point (which UTF-8 byte order keeps), joined by NUL,
+which no key contains. Entry i is keys[i] with effect (bases[i] if
+flags[i] else None, deltas[i]); a base is 0 where its flag is 0. Each
+column stores its i64 values two's complement in its width, 0 to 8 bytes,
+the smallest that holds every value of the column: an all-zero column takes
+no bytes. A store keeps one consolidated effect per key at its window top,
+so the window is stored once per file, and no version, ct or st per entry.
+A file in an earlier layout ("CBLMAP02", every column i64) is refused.
 """
 
 from __future__ import annotations
@@ -66,17 +75,19 @@ from .store import (
     Window,
 )
 
-FRAME_MAGIC = b"CBLE"
-MAP_MAGIC = b"CBLMAP02"
+OLD_FRAME_MAGIC = b"CBLE"  # began every frame of the layout this one replaced
+MAP_MAGIC = b"CBLMAP03"
 COMMIT_TAG = b"c"
 LAYOUT_TAG = b"L"
-_FRAME_HEADER = len(FRAME_MAGIC) + 4
-_MAP_HEADER = struct.Struct("<QQII")  # window lo, window hi, entry count, key blob bytes
+# window lo, window hi, entry count, key blob bytes, base and delta widths
+_MAP_HEADER = struct.Struct("<QQIIBB")
 _UNSIGNED = "BHIQ"  # head width codes 0-3
 _SIGNED = ("", "b", "h", "i", "q")  # write width codes 0-4
 _LAYOUT_HEAD = struct.Struct("<cQQ")  # tag, ts, next file id
 _ENTRY = struct.Struct("<BQQB")  # level + 1, window lo, hi, has-range
 _U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
+_SIGN = bytes(0xFF if b >> 7 else 0 for b in range(256))  # a byte's sign fill
 _OPEN_HI = (1 << 64) - 1  # wire sentinel for an open window top
 
 
@@ -258,8 +269,40 @@ def decode_layout(data: bytes) -> tuple[int, int, list[ManifestEntry]]:
 
 
 def encode_frame(payload: bytes) -> bytes:
-    return (FRAME_MAGIC + struct.pack("<I", len(payload)) + payload
-            + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
+    n = len(payload)
+    head = bytearray()
+    while n >= 0x80:
+        head.append(n & 0x7F | 0x80)
+        n >>= 7
+    head.append(n)
+    body = bytes(head) + payload
+    return body + _U32.pack(zlib.crc32(body))
+
+
+def _frame_at(data: bytes, off: int) -> tuple[bytes, int] | None:
+    """(payload, end offset) of the whole, CRC-valid frame at off, else None.
+
+    The CRC is computed only once the frame's length fits in data.
+    """
+    n = len(data)
+    plen = shift = 0
+    pos = off
+    while True:
+        if pos >= n or shift > 28:
+            return None
+        b = data[pos]
+        pos += 1
+        plen |= (b & 0x7F) << shift
+        if b < 0x80:
+            break
+        shift += 7
+    end = pos + plen + 4
+    if not plen or end > n:
+        return None
+    body = data[off:end - 4]
+    if zlib.crc32(body) != _U32.unpack_from(data, end - 4)[0]:
+        return None
+    return body[pos - off:], end
 
 
 def scan_frames(data: bytes) -> tuple[list[bytes], int]:
@@ -270,60 +313,86 @@ def scan_frames(data: bytes) -> tuple[list[bytes], int]:
     """
     payloads = []
     off = 0
-    n = len(data)
-    while off + _FRAME_HEADER + 4 <= n:
-        if data[off:off + 4] != FRAME_MAGIC:
-            break
-        (plen,) = struct.unpack_from("<I", data, off + 4)
-        end = off + _FRAME_HEADER + plen + 4
-        if end > n:
-            break
-        payload = data[off + _FRAME_HEADER:off + _FRAME_HEADER + plen]
-        (crc,) = struct.unpack_from("<I", data, end - 4)
-        if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-            break
+    while (frame := _frame_at(data, off)) is not None:
+        payload, off = frame
         payloads.append(payload)
-        off = end
     return payloads, off
 
 
-def frame_after(data: bytes, start: int) -> bool:
-    """Whether a whole, CRC-valid frame begins anywhere past offset start."""
-    view = memoryview(data)
-    pos = data.find(FRAME_MAGIC, start + 1)
-    while pos >= 0:
-        if scan_frames(view[pos:])[0]:
+def commit_frame_after(data: bytes, start: int) -> bool:
+    """Whether a whole, CRC-valid frame of a commit payload starts past
+    offset start.
+
+    Each commit tag byte found past start is tried as the first payload
+    byte after a varint of 1 to 5 bytes, and no offset is tried twice: in
+    random bytes, a few offsets in 256.
+    """
+    tried = start + 1  # offsets below this one need no try
+    q = data.find(COMMIT_TAG, start + 2)
+    while q >= 0:
+        if any(_frame_at(data, pos) for pos in range(max(tried, q - 5), q)):
             return True
-        pos = data.find(FRAME_MAGIC, pos + 1)
+        tried = q
+        q = data.find(COMMIT_TAG, q + 1)
     return False
 
 
 def scan_records(data: bytes) -> tuple[list[JournalRecord], int]:
     """Frames to records; a CRC-valid but undecodable record also ends the prefix."""
     records = []
-    payloads, off = scan_frames(data)
-    valid_end = 0
-    for payload in payloads:
+    off = 0
+    while (frame := _frame_at(data, off)) is not None:
         try:
-            records.append(decode_record(payload))
+            records.append(decode_record(frame[0]))
         except IntegrityError:
-            return records, valid_end
-        valid_end += _FRAME_HEADER + len(payload) + 4
-    return records, valid_end
+            break
+        off = frame[1]
+    return records, off
 
 
 # --- map / checkpoint files --------------------------------------------------
 
-def _le(column: array) -> bytes:
+def _narrow(column: array) -> tuple[int, bytes]:
+    """(w, bytes) of an i64 column: the smallest width w, 0 to 8, that holds
+    every value, and the values little-endian in w bytes each.
+
+    Strided byte compares and copies only: width w - 1 holds the column
+    when it fits w and byte w - 1 of every value is the sign fill of byte
+    w - 2.
+    """
     if sys.byteorder == "big":
         column = array("q", column)
         column.byteswap()
-    return column.tobytes()
+    raw = column.tobytes()
+    if raw == bytes(len(raw)):
+        return 0, b""
+    w = 8
+    while w > 1 and raw[w - 1::8] == raw[w - 2::8].translate(_SIGN):
+        w -= 1
+    if w == 8:
+        return w, raw
+    out = bytearray(w * len(column))
+    for k in range(w):
+        out[k::w] = raw[k::8]
+    return w, out
 
 
-def _i64_column(data: bytes) -> array:
+def _widen(data: bytes, start: int, n: int, w: int) -> array:
+    """The i64 column of the n values stored w bytes each from data[start:],
+    copied strided into place and sign-filled."""
+    stop = start + n * w
+    if w == 8:
+        raw = data[start:stop]
+    else:
+        raw = bytearray(8 * n)
+        if w:
+            for k in range(w):
+                raw[k::8] = data[start + k:stop:w]
+            fill = data[start + w - 1:stop:w].translate(_SIGN)
+            for k in range(w, 8):
+                raw[k::8] = fill
     column = array("q")
-    column.frombytes(data)
+    column.frombytes(raw)
     if sys.byteorder == "big":
         column.byteswap()
     return column
@@ -346,9 +415,11 @@ def write_map_file(path: str, window: Window, keys: list[str],
     if not len(flags) == len(bases) == len(deltas) == n:
         raise ValueError("checkpoint columns differ in length")
     blob = "\x00".join(keys).encode("utf-8")
-    body = b"".join((_MAP_HEADER.pack(window.lo, window.hi, n, len(blob)),
-                     blob, bytes(flags), _le(bases), _le(deltas)))
-    data = MAP_MAGIC + body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+    wb, base_bytes = _narrow(bases)
+    wd, delta_bytes = _narrow(deltas)
+    body = b"".join((_MAP_HEADER.pack(window.lo, window.hi, n, len(blob), wb, wd),
+                     blob, bytes(flags), base_bytes, delta_bytes))
+    data = MAP_MAGIC + body + _U32.pack(zlib.crc32(body))
     with open(path, "wb") as f:
         half = len(data) // 2
         f.write(data[:half])
@@ -364,8 +435,8 @@ def read_map_file(path: str) -> tuple[Window, list[str], bytes, array, array]:
     """(window, keys, flags, bases, deltas) of a packed checkpoint file.
 
     Bulk operations only: one CRC, one decode and split of the key blob and
-    one frombytes per column. IntegrityError on a torn, corrupt or malformed
-    file.
+    a few strided copies per column. IntegrityError on a torn, corrupt or
+    malformed file.
     """
     with open(path, "rb") as f:
         data = f.read()
@@ -373,11 +444,13 @@ def read_map_file(path: str) -> tuple[Window, list[str], bytes, array, array]:
     if len(data) < head + 4 or data[:len(MAP_MAGIC)] != MAP_MAGIC:
         raise IntegrityError(f"{path}: not a map file")
     body = memoryview(data)[len(MAP_MAGIC):-4]
-    (crc,) = struct.unpack_from("<I", data, len(data) - 4)
-    if zlib.crc32(body) & 0xFFFFFFFF != crc:
+    (crc,) = _U32.unpack_from(data, len(data) - 4)
+    if zlib.crc32(body) != crc:
         raise IntegrityError(f"{path}: checksum mismatch")
-    lo, hi, n, klen = _MAP_HEADER.unpack_from(data, len(MAP_MAGIC))
-    if head + klen + 17 * n + 4 != len(data) or (klen == 0) != (n == 0):
+    lo, hi, n, klen, wb, wd = _MAP_HEADER.unpack_from(data, len(MAP_MAGIC))
+    if wb > 8 or wd > 8:
+        raise IntegrityError(f"{path}: bad column width")
+    if head + klen + (1 + wb + wd) * n + 4 != len(data) or (klen == 0) != (n == 0):
         raise IntegrityError(f"{path}: section lengths disagree")
     off = head + klen
     try:
@@ -390,6 +463,6 @@ def read_map_file(path: str) -> tuple[Window, list[str], bytes, array, array]:
     if flags.translate(None, b"\x00\x01"):
         raise IntegrityError(f"{path}: bad has-base flag")
     off += n
-    bases = _i64_column(data[off:off + 8 * n])
-    deltas = _i64_column(data[off + 8 * n:off + 16 * n])
+    bases = _widen(data, off, n, wb)
+    deltas = _widen(data, off + wb * n, n, wd)
     return Window(lo, hi), keys, flags, bases, deltas

@@ -150,11 +150,6 @@ class JournalStore(TxnLifecycleMixin, Store):
         with self._lock:
             return set(self._committed_keys)
 
-    def committed_txns(self) -> list[tuple[int, int, str, dict[str, Effect]]]:
-        """(ct, st, txn_id, folded writes) for every committed txn, by ct."""
-        with self._lock:
-            return [(ct, st, tid, dict(writes)) for ct, st, tid, writes in self._committed]
-
     def last_committed_ct(self) -> int | None:
         with self._lock:
             return self._committed[-1][0] if self._committed else None

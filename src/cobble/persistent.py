@@ -105,6 +105,20 @@ class _FrameFile:
             pass
 
 
+def _read_log(path: str) -> bytes:
+    """The bytes of an existing log. A log in the framing this one replaced
+    raises IntegrityError rather than being cut whole as a torn tail: its
+    frames began with codec.OLD_FRAME_MAGIC, which no frame of this framing
+    in a log does."""
+    if not os.path.exists(path):
+        raise StoreError(f"no log at {path}")
+    with open(path, "rb") as f:
+        data = f.read()
+    if data.startswith(codec.OLD_FRAME_MAGIC):
+        raise IntegrityError(f"{path}: a log in the earlier framing")
+    return data
+
+
 class PersistentJournal(JournalStore, _FrameFile):
     def __init__(self, path: str, _records: list[JournalRecord] | None = None):
         _FrameFile.__init__(self, path, _recovered=_records is not None)
@@ -140,10 +154,7 @@ class PersistentJournal(JournalStore, _FrameFile):
         or abort in the valid prefix get an abort appended and flushed.
         Running this twice leaves the file byte-identical the second time.
         """
-        if not os.path.exists(path):
-            raise StoreError(f"no journal at {path}")
-        with open(path, "rb") as f:
-            data = f.read()
+        data = _read_log(path)
         records, valid_end = codec.scan_records(data)
         if valid_end < len(data):
             os.truncate(path, valid_end)
@@ -204,18 +215,15 @@ class CommitLog(_FrameFile):
         at, or None when the log ends cleanly. A torn tail, or one that
         fails its CRC, is left out. Frames are written and fsynced one at a
         time, so a crash can tear only the last one: a bad frame with a
-        valid frame after it, or a frame that passes its CRC but does not
-        decode, raises IntegrityError.
+        valid commit frame after it, or a frame that passes its CRC but does
+        not decode, raises IntegrityError.
         """
-        if not os.path.exists(path):
-            raise StoreError(f"no log at {path}")
-        with open(path, "rb") as f:
-            data = f.read()
+        data = _read_log(path)
         payloads, valid_end = codec.scan_frames(data)
         commits = [codec.decode_commit(p) for p in payloads]
         if valid_end == len(data):
             return commits, None
-        if codec.frame_after(data, valid_end):
+        if codec.commit_frame_after(data, valid_end):
             raise IntegrityError(
                 f"{path}: bad frame at byte {valid_end} with valid frames after it")
         return commits, valid_end

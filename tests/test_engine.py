@@ -6,6 +6,7 @@ import re
 import shutil
 import sys
 import threading
+import zlib
 
 import pytest
 
@@ -1018,16 +1019,20 @@ class TestManifest:
         assert merged and engine.stats["live_checkpoints"] == 11
 
     def test_journal_layout_and_undecodable_frames_raise_and_keep_file(self, tmp_path):
-        """A MANIFEST in an earlier layout (a journal, or a log of edit
-        batches), one of two frames, or one whose frame holds no well-formed
-        layout is refused, and no file changes."""
+        """A MANIFEST in an earlier layout (a journal, a log of edit
+        batches, or this layout in the earlier "CBLE" frame), one of two
+        frames, or one whose frame holds no well-formed layout is refused,
+        and no file changes."""
         d = str(tmp_path / "db")
         LevelledStore.create(d).close()
         mpath = os.path.join(d, "MANIFEST")
         with open(mpath, "rb") as f:
             good = f.read()
+        (layout,), _ = codec.scan_frames(good)
+        old_frame = (b"CBLE" + len(layout).to_bytes(4, "little") + layout
+                     + zlib.crc32(layout).to_bytes(4, "little"))
         (payload,), _ = codec.scan_frames(codec.encode_layout(0, 1, self.ENTRIES))
-        for data in (_JOURNAL_LAYOUT_MANIFEST, _BATCH_LAYOUT_MANIFEST,
+        for data in (_JOURNAL_LAYOUT_MANIFEST, _BATCH_LAYOUT_MANIFEST, old_frame,
                      _BATCH_LAYOUT_MANIFEST + codec.encode_frame(payload),
                      good + good,  # two frames
                      codec.encode_frame(b"m" + payload[1:]),  # the batch tag
@@ -1224,7 +1229,7 @@ class TestRecovery:
         mpath = os.path.join(d, "MANIFEST")
         with open(mpath, "rb") as f:
             whole = f.read()
-        for data in (whole + b"CBLE\x40\x00\x00\x00torn", whole[:-3]):
+        for data in (whole + codec.encode_frame(b"torn" * 16)[:20], whole[:-3]):
             with open(mpath, "wb") as f:
                 f.write(data)
             before = _files(d)

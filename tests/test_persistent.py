@@ -12,7 +12,7 @@ import pytest
 from cobble import codec, faults
 from cobble.composition import Checkpoint, make_checkpoint, rebuild_wmp
 from cobble.effects import Effect
-from cobble.engine import LevelledStore, open_engine
+from cobble.engine import EngineConfig, LevelledStore, open_engine
 from cobble.faults import CorruptBytes, FailFlush, FaultPlan, TruncateAt
 from cobble.memory import JournalStore, MapStore
 from cobble.oracle import generate_trace, replay, valuation_effect
@@ -73,12 +73,40 @@ class TestRecordCodec:
         assert payload == b"\x00" + b"\x02\x00" + b"ab" + (3).to_bytes(8, "little")
 
     def test_frame_layout(self):
-        payload = b"hello"
-        frame = codec.encode_frame(payload)
-        assert frame[:4] == b"CBLE"
-        assert int.from_bytes(frame[4:8], "little") == 5
-        assert frame[8:13] == payload
-        assert len(frame) == 12 + len(payload)
+        # a one-byte varint length, the payload, a CRC-32 over both
+        frame = codec.encode_frame(b"hello")
+        assert frame == b"\x05hello" + struct.pack("<I", zlib.crc32(b"\x05hello"))
+        # 128 B and more take a two-byte length, low seven bits first
+        for n, head in ((127, b"\x7f"), (128, b"\x80\x01"), (300, b"\xac\x02"),
+                        ((1 << 14) - 1, b"\xff\x7f"), (1 << 14, b"\x80\x80\x01")):
+            payload = bytes(range(256)) * (n // 256) + bytes(n % 256)
+            frame = codec.encode_frame(payload)
+            assert frame[:len(head)] == head and len(frame) == len(head) + n + 4
+            assert codec.scan_frames(frame) == ([payload], len(frame))
+
+    def test_no_zero_length_or_zero_filled_frame(self):
+        """A frame of length 0 is invalid, and its CRC covers its length, so
+        no run of zero bytes reads as frames."""
+        assert zlib.crc32(b"") == 0 and zlib.crc32(b"\x00") == 0xD202EF8D
+        for data in (codec.encode_frame(b""), bytes(5), bytes(4096)):
+            assert codec.scan_frames(data) == ([], 0)
+            assert not codec.commit_frame_after(data, 0)
+        # five or more continuation bytes exceed the varint's 5-byte cap
+        assert codec.scan_frames(b"\xff" * 64) == ([], 0)
+
+    def test_commit_frame_after_tries_only_offsets_before_a_commit_tag(self, monkeypatch):
+        """Past a bad frame, only the 1 to 5 offsets before each commit tag
+        byte can start a commit frame, and each is tried once."""
+        data = random.Random(3).randbytes(1 << 17)
+        tried = []
+        real = codec._frame_at
+
+        def frame_at(buf, off):
+            tried.append(off)
+            return real(buf, off)
+        monkeypatch.setattr(codec, "_frame_at", frame_at)
+        assert not codec.commit_frame_after(data, 0)
+        assert 0 < len(tried) == len(set(tried)) <= 5 * data.count(codec.COMMIT_TAG)
 
 
 class TestAppendAndFlush:
@@ -87,7 +115,8 @@ class TestAppendAndFlush:
         payload = codec.encode_record(JournalRecord(RecordKind.BEGIN, "a", 0))
         j.do_begin(TransactionDescriptor("a", st=0))
         j.flush()
-        assert os.path.getsize(j.path) == 12 + len(payload)
+        assert len(payload) < 128  # one length byte
+        assert os.path.getsize(j.path) == 1 + len(payload) + 4
         j.close()
 
     def test_commit_is_durable_before_returning(self, tmp_path):
@@ -155,8 +184,8 @@ class TestRecovery:
             committed = {r.txn_id for r in records if r.kind == RecordKind.COMMIT}
             begun = {r.txn_id for r in records if r.kind == RecordKind.BEGIN}
             j = PersistentJournal.recover(p)
-            got = {txn_id for _, _, txn_id, _ in j.committed_txns()}
-            assert got == committed
+            got, _ = codec.scan_records(pathlib.Path(p).read_bytes())
+            assert {r.txn_id for r in got if r.kind == RecordKind.COMMIT} == committed
             # everything begun but not terminated in the prefix ends aborted
             recs = j.records()
             terminated = {r.txn_id for r in recs
@@ -198,10 +227,35 @@ class TestRecovery:
         faults.clear_plan()
         j.close()
         back = PersistentJournal.recover(str(tmp_path / "wal.log"))
-        got = {txn_id for _, _, txn_id, _ in back.committed_txns()}
+        records, _ = codec.scan_records(pathlib.Path(back.path).read_bytes())
+        got = {r.txn_id for r in records if r.kind == RecordKind.COMMIT}
         assert "keep" in got and "lost" not in got
         assert eff_tuple(back, "k", 10) == (1, 0)
         back.close()
+
+    def test_undecodable_record_after_a_long_one_is_cut_at_its_start(self, tmp_path):
+        """The cut falls where the scanner's frames end: a record of 128 B or
+        more has a two-byte length."""
+        path = str(tmp_path / "wal.log")
+        rec = JournalRecord(RecordKind.UPDATE, "t", 0, key="k" * 150, effect=Effect(1, 2))
+        good = codec.encode_frame(codec.encode_record(rec))
+        assert good[1] < 0x80 <= good[0]  # a two-byte length
+        with open(path, "wb") as f:
+            f.write(good + codec.encode_frame(b"\xff not a record"))
+        assert codec.scan_records(pathlib.Path(path).read_bytes()) == ([rec], len(good))
+        PersistentJournal.recover(path).close()
+        assert pathlib.Path(path).read_bytes() == good
+
+    def test_journal_in_the_earlier_framing_raises_and_stays_unchanged(self, tmp_path):
+        path = str(tmp_path / "old.log")
+        payloads = [codec.encode_record(JournalRecord(RecordKind.BEGIN, "a", 0)),
+                    codec.encode_record(JournalRecord(RecordKind.COMMIT, "a", 1))]
+        with open(path, "wb") as f:
+            f.write(b"".join(map(_old_frame, payloads)))
+        before = pathlib.Path(path).read_bytes()
+        with pytest.raises(IntegrityError, match="earlier framing"):
+            PersistentJournal.recover(path)
+        assert pathlib.Path(path).read_bytes() == before
 
     def test_truncate_fault_in_tail_recovers_valid_prefix(self, tmp_path):
         path, _ = self._populate(tmp_path)
@@ -333,7 +387,7 @@ class TestCommitLog:
         log.do_commit(txn)
         frame = codec.encode_frame(codec.encode_commit(2, 4, {"k": Effect.incr(1)}))
         # an exact size: a change that grows the log fails here
-        assert os.path.getsize(log.path) == log.durable_offset == len(frame) == 21
+        assert os.path.getsize(log.path) == log.durable_offset == len(frame) == 14
         log.close()
 
     def test_aborted_txn_adds_no_bytes(self, tmp_path):
@@ -377,10 +431,78 @@ class TestCommitLog:
         _, valid_end = codec.scan_frames(pathlib.Path(path).read_bytes())
         assert valid_end == os.path.getsize(path)
 
+    def test_zero_filled_tail_is_cut(self, tmp_path):
+        """A tail of zeros, as a file system can leave after a crash, holds
+        no frame: recovery cuts it, and a second recovery changes nothing."""
+        path = self._log(tmp_path)
+        whole = pathlib.Path(path).read_bytes()
+        with open(path, "ab") as f:
+            f.write(bytes(4096))
+        log, commits = CommitLog.recover(path)
+        log.close()
+        assert len(commits) == 5 and pathlib.Path(path).read_bytes() == whole
+        log, again = CommitLog.recover(path)
+        log.close()
+        assert again == commits and pathlib.Path(path).read_bytes() == whole
+
+    def test_zeros_between_frames_raise_and_stay_unchanged(self, tmp_path):
+        path = self._log(tmp_path, n=2)
+        frames = pathlib.Path(path).read_bytes()
+        first = codec.scan_frames(frames)[1] // 2  # frames of equal size here
+        assert codec.scan_frames(frames[:first])[1] == first
+        for zeros in (1, 5, 4096):
+            data = frames[:first] + bytes(zeros) + frames[first:]
+            with open(path, "wb") as f:
+                f.write(data)
+            for read in (CommitLog.scan, CommitLog.recover):
+                with pytest.raises(IntegrityError, match="valid frames after it"):
+                    read(path)
+                assert pathlib.Path(path).read_bytes() == data
+
+    def test_every_strict_prefix_of_a_log_is_cut_to_its_whole_frames(self, tmp_path):
+        path = self._log(tmp_path)
+        data = pathlib.Path(path).read_bytes()
+        all_commits, _ = CommitLog.scan(path)
+        ends = [0]
+        for payload in codec.scan_frames(data)[0]:
+            ends.append(ends[-1] + len(codec.encode_frame(payload)))
+        assert ends[-1] == len(data)
+        cut_path = str(tmp_path / "cut.log")
+        for cut in range(len(data)):
+            with open(cut_path, "wb") as f:
+                f.write(data[:cut])
+            kept = sum(1 for end in ends[1:] if end <= cut)
+            commits, at = CommitLog.scan(cut_path)
+            assert commits == all_commits[:kept]
+            assert at == (None if cut == ends[kept] else ends[kept])
+
+    def test_log_in_the_earlier_framing_raises_and_stays_unchanged(self, tmp_path):
+        path = str(tmp_path / "old.log")
+        with open(path, "wb") as f:
+            for i in range(3):
+                f.write(_old_frame(codec.encode_commit(i, i + 1, {"k": Effect.incr(1)})))
+        before = pathlib.Path(path).read_bytes()
+        for read in (CommitLog.scan, CommitLog.recover):
+            with pytest.raises(IntegrityError, match="earlier framing"):
+                read(path)
+            assert pathlib.Path(path).read_bytes() == before
+
+    def test_engine_refuses_a_live_log_in_the_earlier_framing(self, tmp_path):
+        d = str(tmp_path / "db")
+        engine = LevelledStore.create(d)
+        (live, _), = engine.layout()["live"]
+        engine.close()
+        with open(os.path.join(d, live), "wb") as f:
+            f.write(_old_frame(codec.encode_commit(0, 1, {"k": Effect.incr(1)})))
+        before = {n: pathlib.Path(d, n).read_bytes() for n in os.listdir(d)}
+        with pytest.raises(IntegrityError):
+            open_engine(d)
+        assert {n: pathlib.Path(d, n).read_bytes() for n in os.listdir(d)} == before
+
     def test_corrupt_middle_frame_raises_and_stays_unchanged(self, tmp_path):
         path = self._log(tmp_path, n=10)
         size = os.path.getsize(path)
-        for off in (size // 3, 2, 5):  # a payload byte, the magic, the length
+        for off in (size // 3, 0, 1):  # a payload byte, the length, the tag
             faults.corrupt_file(path, off, 1)
             before = pathlib.Path(path).read_bytes()
             with pytest.raises(IntegrityError):
@@ -508,6 +630,13 @@ class TestReplaceFile:
         assert pathlib.Path(path).read_bytes() == b"new"
 
 
+def _old_frame(payload: bytes) -> bytes:
+    """payload in the framing the varint one replaced: magic "CBLE", u32
+    length, payload, CRC-32 of the payload."""
+    return b"CBLE" + struct.pack("<I", len(payload)) + payload + struct.pack(
+        "<I", zlib.crc32(payload))
+
+
 # the commit payload of (st 2, ct 4, {"k": incr 1}) in the fixed-width
 # layout this one replaced: tag "C", u64 st, u64 ct, u32 write count, then
 # per write u16 key length, key, effect tag 0 (no base) and i64 delta
@@ -617,7 +746,7 @@ class TestMapFile:
         assert len(back) == 0 and back.entries == {} and back.key_range is None
         assert back.window == Window(3, 7)
         assert back.lookup("anything", 100) is None
-        assert os.path.getsize(path) == len(codec.MAP_MAGIC) + 24 + 4
+        assert os.path.getsize(path) == len(codec.MAP_MAGIC) + 26 + 4
 
     def test_random_sealed_maps_round_trip(self, tmp_path):
         for seed in range(4):
@@ -663,21 +792,77 @@ class TestMapFile:
         with open(path, "rb") as f:
             data = f.read()
         assert data == bytes.fromhex(
-            "43424c4d41503032"                   # magic CBLMAP02
+            "43424c4d41503033"                   # magic CBLMAP03
             "0500000000000000" "0900000000000000"  # window lo, hi
             "02000000" "03000000"                # entry count, key blob bytes
+            "01" "08"                            # base and delta widths
             "61" "00" "62"                       # "a" NUL "b"
             "01" "00"                            # has-base flags
-            "0100000000000000" "0000000000000000"  # bases
-            "ffffffffffffff7f" "feffffffffffffff"  # deltas
-            "fc603948")                          # CRC-32 of all after the magic
+            "01" "00"                            # bases, one byte each
+            "ffffffffffffff7f" "feffffffffffffff"  # deltas, eight bytes each
+            "efe5491f")                          # CRC-32 of all after the magic
+
+    def test_round_trips_at_every_width_boundary(self, tmp_path):
+        """Each column takes the smallest width, 0 to 8 bytes, that holds
+        all its values: +-2^(8w-1) and one past each on both sides."""
+        for w in range(9):
+            lo, hi = (-(1 << 8 * w - 1), (1 << 8 * w - 1) - 1) if w else (0, 0)
+            edges = [lo, hi]
+            for column in (edges, edges + [hi + 1], edges + [lo - 1]):
+                if w == 8 and column is not edges:
+                    continue  # past i64
+                want = w if column is edges else w + 1
+                for base_col in (True, False):
+                    entries = {f"k{i}": Effect(v, 0) if base_col else Effect(None, v)
+                               for i, v in enumerate(column)}
+                    path = _ck_path(tmp_path, entries)
+                    data = pathlib.Path(path).read_bytes()
+                    assert data[32:34] == (bytes((want, 0)) if base_col else bytes((0, want)))
+                    assert len(data) == 38 + len(b"\x00".join(
+                        k.encode() for k in sorted(entries))) + (1 + want) * len(column)
+                    assert Checkpoint.load(path).entries == entries
+
+    def test_every_strict_prefix_of_a_file_raises(self, tmp_path):
+        path = _ck_path(tmp_path, {"a": Effect(-300, 7), "bb": Effect(None, 1 << 40),
+                                   "c": Effect(0, -1)})
+        data = pathlib.Path(path).read_bytes()
+        for cut in range(len(data)):
+            with open(path, "wb") as f:
+                f.write(data[:cut])
+            with pytest.raises(IntegrityError):
+                Checkpoint.load(path)
+
+    def test_earlier_layout_raises_and_stays_unchanged(self, tmp_path):
+        path = str(tmp_path / "old.cb")
+        with open(path, "wb") as f:
+            f.write(_CBLMAP02_FILE)
+        for _ in range(2):
+            with pytest.raises(IntegrityError, match="not a map file"):
+                Checkpoint.load(path)
+            assert pathlib.Path(path).read_bytes() == _CBLMAP02_FILE
+
+    def test_engine_refuses_a_checkpoint_in_the_earlier_layout(self, tmp_path):
+        d = str(tmp_path / "db")
+        engine = LevelledStore.create(d, EngineConfig(wmp_rotate_effects=1))
+        txn = TransactionDescriptor("a", st=0, ct=1)
+        txn.effect_buffer["k"] = Effect.assign(3)
+        engine.do_begin(txn)
+        engine.do_commit(txn)
+        engine.close()
+        (name,) = [n for n in os.listdir(d) if n.endswith(".cb")]
+        with open(os.path.join(d, name), "wb") as f:
+            f.write(_CBLMAP02_FILE)
+        before = {n: pathlib.Path(d, n).read_bytes() for n in os.listdir(d)}
+        with pytest.raises(IntegrityError):
+            open_engine(d)
+        assert {n: pathlib.Path(d, n).read_bytes() for n in os.listdir(d)} == before
 
     def test_malformed_but_checksummed_files_raise(self, tmp_path):
         path = str(tmp_path / "bad.cb")
 
-        def body(keys: bytes, n: int, flags: bytes, extra: bytes = b"") -> bytes:
-            cols = flags + b"\x00" * 16 * n
-            return struct.pack("<QQII", 0, 2, n, len(keys)) + keys + cols + extra
+        def body(keys: bytes, n: int, flags: bytes, extra: bytes = b"", width: int = 8) -> bytes:
+            cols = flags + b"\x00" * 2 * width * n
+            return struct.pack("<QQIIBB", 0, 2, n, len(keys), width, width) + keys + cols + extra
 
         cases = {
             "descending": body(b"b\x00a", 2, b"\x00\x00"),
@@ -688,6 +873,7 @@ class TestMapFile:
             "short column": body(b"a\x00b", 2, b"\x00\x00")[:-1],
             "bad flag": body(b"a\x00b", 2, b"\x00\x02"),
             "bad utf-8": body(b"a\x00\xff", 2, b"\x00\x00"),
+            "width 9": body(b"a\x00b", 2, b"\x00\x00", width=9),
         }
         for what, b in cases.items():
             with open(path, "wb") as f:
@@ -704,3 +890,15 @@ class TestMapFile:
         with open(path, "wb") as f:
             f.write(_sealed_map(body(b"a\x00b", 2, b"\x01\x00")))
         assert Checkpoint.load(path).entries == {"a": Effect(0, 0), "b": Effect(None, 0)}
+        for width in (0, 3):  # any width up to 8 loads
+            with open(path, "wb") as f:
+                f.write(_sealed_map(body(b"a\x00b", 2, b"\x01\x00", width=width)))
+            assert Checkpoint.load(path).entries == {"a": Effect(0, 0), "b": Effect(None, 0)}
+
+
+# a checkpoint of {"a": (1, 2^63 - 1), "b": (None, -2)} at window [5, 9) in
+# the layout CBLMAP03 replaced: every base and delta an i64
+_CBLMAP02_FILE = bytes.fromhex(
+    "43424c4d41503032" "0500000000000000" "0900000000000000" "02000000" "03000000"
+    "610062" "0100" "0100000000000000" "0000000000000000"
+    "ffffffffffffff7f" "feffffffffffffff" "fc603948")
